@@ -35,7 +35,7 @@ from .levy import (
     poisson_truncation_index,
 )
 from .surface import RibbonMap, SurfaceSpec, is_orientable
-from .loops import TameGenerators, holonomy_of_word
+from .loops import TameGenerators
 from .holonomy import (
     DEFAULT_CAP,
     CapExceeded,
@@ -489,7 +489,8 @@ class HoloMonoReport:
     passed: bool = field(init=False)
 
     def __post_init__(self):
-        self.passed = self.max_abs_diff <= self.tol
+        self.max_abs_diff = float(self.max_abs_diff)
+        self.passed = bool(self.max_abs_diff <= self.tol)
 
 
 def verify_holo_mono(G: FiniteGroup, m: RibbonMap, pi: JumpMeasure,

@@ -1,15 +1,18 @@
 """The discrete holonomy field over a finite group: uniform measures with
 conjugacy-class constraints on boundary circuits and marked cycles, the
-heat-kernel weighted field, partition functions by brute force over edge
-configurations and by the closed convolution formula, surgery operators on
-partition functions, and exact joint laws of loop holonomies.
+heat-kernel weighted field, partition functions by a sum over edge
+configurations (one per gauge orbit) and by the closed convolution formula,
+surgery operators on partition functions, and exact joint laws of loop
+holonomies.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
+import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .groups import (
     ClassMeasure,
@@ -23,7 +26,13 @@ from .groups import (
     kappa_measure,
 )
 from .levy import HeatKernel
-from .loops import EdgeWord, holonomy_of_word
+from .loops import (
+    EdgeWord,
+    holonomy_of_steps,
+    spanning_tree,
+    word_end,
+    word_steps,
+)
 from .surface import RibbonMap, SurfaceSpec, faces, is_orientable
 
 __all__ = [
@@ -31,7 +40,6 @@ __all__ = [
     "SymmetricClassFunction",
     "CapExceeded",
     "constrained_configurations",
-    "sample_uniform_constrained",
     "uniform_constrained_mass",
     "df_weight",
     "partition_graph",
@@ -78,104 +86,117 @@ class GConstraints:
         return out
 
 
-def _cycle_forced_value(G: FiniteGroup, m: RibbonMap, config: dict[int, int],
-                        cyc: tuple[int, ...], target: int) -> int:
-    """Value of the last edge of the cycle making the cycle holonomy equal
-    target, given values of the earlier edges."""
-    h = 0
-    for d in cyc[:-1]:
-        e = m.edge_of(d)
-        x = config[e] if d == e else G.inv[config[e]]
-        h = G.mul[x][h]
-    # want val(last dart) * h = target
-    val = G.mul[target][G.inv[h]]
-    d = cyc[-1]
-    e = m.edge_of(d)
-    return val if d == e else G.inv[val]
+@dataclass(frozen=True)
+class _GaugeFixed:
+    """One configuration per gauge orbit of the constrained uniform
+    measure: spanning-tree edges at the identity, free edges uniform, and
+    the last edge of each constrained cycle forced so that the cycle
+    holonomy runs uniformly over its class."""
+
+    free: list[int]
+    # per cycle: steps before the forced edge, forced edge, reversed?
+    cycles: list[tuple[tuple[tuple[int, bool], ...], int, bool]]
+    targets: list[list[int]]
+    count: int
+
+
+def _gauge_fixed(G: FiniteGroup, m: RibbonMap, C: GConstraints,
+                 classes: ConjugacyClassTable) -> _GaugeFixed:
+    """The constrained uniform measure is invariant under gauges, which
+    conjugate every cycle holonomy, and the gauges fixing any one vertex
+    move each configuration to exactly one with the edges of a spanning
+    tree at the identity. The tree avoids each cycle's forced edge:
+    dropping one edge from each of edge-disjoint cycles leaves the graph
+    connected."""
+    cycles, targets = [], []
+    for cyc, c in C.cycles_and_classes(m):
+        steps = word_steps(m, cyc)
+        cycles.append((steps[:-1],) + steps[-1])
+        targets.append(classes.elements_of(c))
+    forced = {e for _, e, _ in cycles}
+    tree = spanning_tree(m, forbidden=forced)
+    free = [e for e in m.edges() if e not in forced and e not in tree]
+    count = G.n ** len(free) * math.prod(len(t) for t in targets)
+    return _GaugeFixed(free, cycles, targets, count)
+
+
+def _representatives(G: FiniteGroup, m: RibbonMap, fixed: _GaugeFixed):
+    weight = 1.0 / fixed.count
+    config = dict.fromkeys(m.edges(), 0)
+    for vals in itertools.product(range(G.n), repeat=len(fixed.free)):
+        config.update(zip(fixed.free, vals))
+        for ys in itertools.product(*fixed.targets):
+            for (head, e, rev), y in zip(fixed.cycles, ys):
+                # head * value(last dart) = y
+                val = G.mul[G.inv[holonomy_of_steps(G, head, config)]][y]
+                config[e] = G.inv[val] if rev else val
+            yield dict(config), weight
 
 
 def constrained_configurations(G: FiniteGroup, m: RibbonMap, C: GConstraints,
                                classes: ConjugacyClassTable,
                                cap: int = DEFAULT_CAP):
-    """Iterate (config, probability weight) pairs whose mixture is the
-    uniform measure with constraints: free edges uniform, one edge per
-    constrained cycle forced so the cycle holonomy is uniform on its class."""
-    cycles = C.cycles_and_classes(m)
-    forced = [m.edge_of(cyc[-1]) for cyc, _ in cycles]
-    free = [e for e in m.edges() if e not in set(forced)]
-    n = G.n
-    count = n ** len(free)
-    for _, c in cycles:
-        count *= classes.sizes[c]
-    if count > cap:
-        raise CapExceeded(f"{count} configurations exceed the cap {cap}")
-    weight = 1.0 / count
-    targets = [classes.elements_of(c) for _, c in cycles]
-    for vals in itertools.product(range(n), repeat=len(free)):
-        base = dict(zip(free, vals))
-        for ys in itertools.product(*targets):
-            config = dict(base)
-            for (cyc, _), y in zip(cycles, ys):
-                e = m.edge_of(cyc[-1])
-                config[e] = _cycle_forced_value(G, m, config, cyc, y)
-            yield config, weight
+    """Iterate (config, probability weight) pairs, one per gauge orbit of
+    the uniform measure with constraints: edges of a spanning tree at the
+    identity, the other free edges uniform, one edge per constrained cycle
+    forced so the cycle holonomy is uniform on its class. There are
+    n^(E - V + 1 - #cycles) prod |C_i| of them, each of weight 1/count.
+
+    The mixture reproduces the uniform measure only for functionals
+    invariant under gauges that fix one vertex (any one): the face-weight
+    product, and holonomies of loops all based at that vertex."""
+    fixed = _gauge_fixed(G, m, C, classes)
+    if fixed.count > cap:
+        raise CapExceeded(f"{fixed.count} configurations exceed the cap {cap}")
+    yield from _representatives(G, m, fixed)
 
 
 def uniform_constrained_mass(G: FiniteGroup, m: RibbonMap, C: GConstraints,
                              f, classes: ConjugacyClassTable | None = None,
                              cap: int = DEFAULT_CAP) -> float:
     """Exact expectation of a configuration functional under the uniform
-    measure with constraints."""
+    measure with constraints, summed over gauge-fixed representatives: f
+    must be gauge-invariant, or invariant under the gauges fixing one
+    vertex (a function of loops based there)."""
     if classes is None:
         classes = conjugacy_classes(G)
     return sum(w * f(config)
                for config, w in constrained_configurations(G, m, C, classes, cap))
 
 
-def sample_uniform_constrained(G: FiniteGroup, m: RibbonMap, C: GConstraints,
-                               seed: int,
-                               classes: ConjugacyClassTable | None = None,
-                               count: int = 1):
-    """Draw configurations from the constrained uniform measure."""
-    if classes is None:
-        classes = conjugacy_classes(G)
-    rng = random.Random(seed)
-    cycles = C.cycles_and_classes(m)
-    forced = [m.edge_of(cyc[-1]) for cyc, _ in cycles]
-    free = [e for e in m.edges() if e not in set(forced)]
-    out = []
-    for _ in range(count):
-        config = {e: rng.randrange(G.n) for e in free}
-        for cyc, c in cycles:
-            y = rng.choice(classes.elements_of(c))
-            config[m.edge_of(cyc[-1])] = _cycle_forced_value(G, m, config, cyc, y)
-        out.append(config)
-    return out if count > 1 else out[0]
-
-
-def df_weight(G: FiniteGroup, m: RibbonMap, hk: HeatKernel,
-              config: dict[int, int]) -> float:
-    """Product over faces of the heat kernel at the facial holonomy."""
+def _face_words(m: RibbonMap, hk: HeatKernel):
+    """Each face's boundary word compiled to steps, with the heat kernel at
+    the face's area; areas and orientability are checked once."""
     if m.areas is None:
         raise ValueError("face areas are not assigned")
     if not is_orientable(m) and not hk.pi.inversion_invariant:
         raise ValueError(
             "non-orientable maps need an inversion-invariant jump measure")
-    fs = faces(m)
+    return [(word_steps(m, [d for d, _ in cyc]),
+             hk.density(m.areas[i]).values)
+            for i, cyc in enumerate(faces(m).cycles)]
+
+
+def _face_weight(G: FiniteGroup, words, config: dict[int, int]) -> float:
     w = 1.0
-    for i, cyc in enumerate(fs.cycles):
-        word = EdgeWord(m.vertex_of(cyc[0][0]), tuple(d for d, _ in cyc))
-        h = holonomy_of_word(G, m, config, word)
-        w *= hk.density(m.areas[i]).values[h]
+    for steps, q in words:
+        w *= q[holonomy_of_steps(G, steps, config)]
     return w
+
+
+def df_weight(G: FiniteGroup, m: RibbonMap, hk: HeatKernel,
+              config: dict[int, int]) -> float:
+    """Product over faces of the heat kernel at the facial holonomy."""
+    return _face_weight(G, _face_words(m, hk), config)
 
 
 def partition_graph(G: FiniteGroup, m: RibbonMap, C: GConstraints,
                     hk: HeatKernel, classes=None, cap: int = DEFAULT_CAP) -> float:
     """Partition function over edge configurations:
     Z = E[prod_F Q_{t_F}(h(dF))] under the constrained uniform measure."""
+    words = _face_words(m, hk)
     return uniform_constrained_mass(
-        G, m, C, lambda cfg: df_weight(G, m, hk, cfg), classes, cap)
+        G, m, C, lambda cfg: _face_weight(G, words, cfg), classes, cap)
 
 
 def measure_m(G: FiniteGroup, spec: SurfaceSpec,
@@ -303,16 +324,32 @@ def marginal_generators(G: FiniteGroup, m: RibbonMap, C: GConstraints,
                         normalize: bool = False):
     """Exact joint pmf of the holonomies of the given words under the
     constrained uniform measure, weighted by the field density when a heat
-    kernel is supplied. Returns (pmf dict, total mass)."""
+    kernel is supplied. Returns (pmf dict, total mass).
+
+    The configuration sum runs over gauge-fixed representatives with the
+    first word's base as the fixed vertex; a word starting or ending
+    elsewhere also gets averaged over the gauge at those vertices, which
+    costs a factor n per such vertex in the key computation only."""
     if classes is None:
         classes = conjugacy_classes(G)
+    words = _face_words(m, hk) if hk is not None else None
+    steps = [word_steps(m, g.darts) for g in gens]
+    ends = [(g.base, word_end(m, g)) for g in gens]
+    root = gens[0].base if gens else 0
+    moving = sorted({v for pair in ends for v in pair} - {root})
+    gauges = [{root: 0, **dict(zip(moving, js))}
+              for js in itertools.product(range(G.n), repeat=len(moving))]
+    share = 1.0 / len(gauges)
     pmf: dict[tuple[int, ...], float] = {}
     total = 0.0
     for config, w in constrained_configurations(G, m, C, classes, cap):
-        if hk is not None:
-            w = w * df_weight(G, m, hk, config)
-        key = tuple(holonomy_of_word(G, m, config, g) for g in gens)
-        pmf[key] = pmf.get(key, 0.0) + w
+        if words is not None:
+            w = w * _face_weight(G, words, config)
+        hols = [holonomy_of_steps(G, s, config) for s in steps]
+        for j in gauges:
+            key = tuple(G.mul[G.mul[j[a]][h]][G.inv[j[b]]]
+                        for h, (a, b) in zip(hols, ends))
+            pmf[key] = pmf.get(key, 0.0) + w * share
         total += w
     if normalize:
         pmf = {k: v / total for k, v in pmf.items()}
@@ -336,52 +373,39 @@ def sample_df(G: FiniteGroup, m: RibbonMap, C: GConstraints, hk: HeatKernel,
               classes: ConjugacyClassTable | None = None,
               exact_limit: int = 10 ** 6, sweeps: int = 50):
     """Samples from the field measure: exact categorical sampling when the
-    configuration space is small, otherwise seeded single-edge heat-bath
-    sweeps (unconstrained maps only)."""
+    gauge-fixed configuration count is at most exact_limit, each draw moved
+    by an independent uniform gauge so that it follows the full field law;
+    otherwise seeded single-edge heat-bath sweeps (unconstrained maps
+    only)."""
     if classes is None:
         classes = conjugacy_classes(G)
     rng = random.Random(seed)
-    space = G.n ** m.n_edges
-    if space <= exact_limit:
-        items = []
+    words = _face_words(m, hk)
+    fixed = _gauge_fixed(G, m, C, classes)
+    if fixed.count <= exact_limit:
+        configs = []
+        cumulative = []
         acc = 0.0
-        for config, w in constrained_configurations(G, m, C, classes,
-                                                    cap=exact_limit * 4):
-            w = w * df_weight(G, m, hk, config)
-            acc += w
-            items.append((acc, config))
+        for config, w in _representatives(G, m, fixed):
+            acc += w * _face_weight(G, words, config)
+            configs.append(config)
+            cumulative.append(acc)
         out = []
         for _ in range(count):
-            u = rng.random() * acc
-            lo, hi = 0, len(items) - 1
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if items[mid][0] < u:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            out.append(dict(items[lo][1]))
+            config = configs[bisect.bisect_left(cumulative, rng.random() * acc)]
+            j = {v: rng.randrange(G.n) for v in range(m.n_vertices)}
+            out.append(gauge_transform(G, m, config, j))
         return out if count > 1 else out[0]
     if C.boundary_classes or C.marks:
         raise CapExceeded(
             "heat-bath sampling supports unconstrained maps only")
-    return _heat_bath(G, m, hk, rng, count, sweeps)
+    return _heat_bath(G, m, words, rng, count, sweeps)
 
 
-def _edge_faces(m: RibbonMap):
-    fs = faces(m)
-    out = {e: [] for e in m.edges()}
-    for i, cyc in enumerate(fs.cycles):
-        for d, _ in cyc:
-            out[m.edge_of(d)].append(i)
-    return out
-
-
-def _heat_bath(G: FiniteGroup, m: RibbonMap, hk: HeatKernel, rng, count, sweeps):
-    fs = faces(m)
-    owners = _edge_faces(m)
-    words = [EdgeWord(m.vertex_of(cyc[0][0]), tuple(d for d, _ in cyc))
-             for cyc in fs.cycles]
+def _heat_bath(G: FiniteGroup, m: RibbonMap, words, rng, count, sweeps):
+    touching = {e: [(steps, q) for steps, q in words
+                    if any(f == e for f, _ in steps)]
+                for e in m.edges()}
     out = []
     config = {e: rng.randrange(G.n) for e in m.edges()}
     for _ in range(count):
@@ -390,11 +414,7 @@ def _heat_bath(G: FiniteGroup, m: RibbonMap, hk: HeatKernel, rng, count, sweeps)
                 weights = []
                 for x in range(G.n):
                     config[e] = x
-                    w = 1.0
-                    for i in set(owners[e]):
-                        h = holonomy_of_word(G, m, config, words[i])
-                        w *= hk.density(m.areas[i]).values[h]
-                    weights.append(w)
+                    weights.append(_face_weight(G, touching[e], config))
                 tot = sum(weights)
                 u = rng.random() * tot
                 acc = 0.0

@@ -26,6 +26,9 @@ __all__ = [
     "tame_generators",
     "refine_generators",
     "holonomy_of_word",
+    "holonomy_of_steps",
+    "word_steps",
+    "word_end",
     "abelianization",
     "abelian_rank",
 ]
@@ -87,17 +90,28 @@ def reduce_word(m: RibbonMap, w: EdgeWord) -> EdgeWord:
     return EdgeWord(w.base, tuple(stack))
 
 
+def word_steps(m: RibbonMap, darts) -> tuple[tuple[int, bool], ...]:
+    """A dart sequence as (edge id, reversed) pairs, compiled once for
+    repeated holonomy evaluation."""
+    return tuple((m.edge_of(d), d != m.edge_of(d)) for d in darts)
+
+
+def holonomy_of_steps(G: FiniteGroup, steps, config: dict[int, int]) -> int:
+    """Holonomy of a compiled word: the edge elements multiplied in
+    traversal order, inverted on reversed darts."""
+    h = 0
+    for e, rev in steps:
+        x = config[e]
+        h = G.mul[h][G.inv[x] if rev else x]
+    return h
+
+
 def holonomy_of_word(G: FiniteGroup, m: RibbonMap, config: dict[int, int],
                      w: EdgeWord) -> int:
-    """Holonomy of a word: edge elements multiplied in reverse traversal
-    order, inverted on reversed darts. config maps each edge id (its smaller
-    dart) to a group element."""
-    h = 0
-    for d in w.darts:
-        e = m.edge_of(d)
-        x = config[e] if d == e else G.inv[config[e]]
-        h = G.mul[h][x]
-    return h
+    """Holonomy of a word: edge elements multiplied in traversal order,
+    inverted on reversed darts. config maps each edge id (its smaller dart)
+    to a group element."""
+    return holonomy_of_steps(G, word_steps(m, w.darts), config)
 
 
 def _grow_tree(m: RibbonMap, seeds: list[int], allowed: list[int]) -> set[int]:

@@ -91,7 +91,8 @@ def test_verify_suites_pass(files, capsys, suite):
         "--surface", files["torus"], "--levy", files["levy_s3"]])
     assert code == 0
     assert doc["cases"]
-    assert all(case["pass"] for case in doc["cases"])
+    # a real JSON true, not a truthy string such as "True"
+    assert all(case["pass"] is True for case in doc["cases"])
 
 
 def test_verify_on_nonorientable_surface(files, capsys):
@@ -106,6 +107,15 @@ def test_verify_with_boundary(files, capsys):
         "verify", "holo-mono", "--group", files["s3"],
         "--surface", files["disk"], "--levy", files["levy_s3"]])
     assert code == 0
+
+
+def test_cover_verify_holo_mono(files, capsys):
+    code, doc = run_json(capsys, [
+        "cover", "verify-holo-mono", "--group", files["s3"],
+        "--surface", files["torus"], "--levy", files["levy_s3"]])
+    assert code == 0
+    assert doc["pass"] is True
+    assert doc["max_abs_diff"] <= 1e-9
 
 
 def test_cover_enumerate(files, capsys):

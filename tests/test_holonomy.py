@@ -1,5 +1,6 @@
 """Partition functions, surgery maps, joint holonomy laws and sampling."""
 
+import itertools
 import math
 import random
 from collections import Counter
@@ -16,6 +17,7 @@ from holofield.holonomy import (
     GConstraints,
     beta1,
     beta2,
+    constrained_configurations,
     df_weight,
     gauge_transform,
     marginal_generators,
@@ -27,7 +29,13 @@ from holofield.holonomy import (
     z_function,
 )
 from holofield.levy import HeatKernel, uniform_jump_measure
-from holofield.loops import tame_generators
+from holofield.loops import (
+    EdgeWord,
+    free_basis,
+    holonomy_of_word,
+    spanning_tree,
+    tame_generators,
+)
 from holofield.surface import (
     RibbonMap,
     SurfaceSpec,
@@ -226,8 +234,6 @@ def test_sample_df_exact_matches_pmf():
     draws = sample_df(G, m, C, hk, seed=17, count=4000)
     tame = tame_generators(m)
     counts = Counter()
-    from holofield.loops import holonomy_of_word
-
     for config in draws:
         counts[tuple(holonomy_of_word(G, m, config, w)
                      for w in tame.a)] += 1
@@ -251,3 +257,177 @@ def test_nonorientable_needs_symmetric_jumps():
     m = standard_map(SurfaceSpec(False, 1, 0, 1.0))
     with pytest.raises(ValueError):
         partition_graph(G, m, GConstraints(), hk)
+
+
+# ---------------------------------------------------------------------------
+# brute-force oracle: the sum over all n^E edge configurations
+
+
+def brute_field(G, m, C, hk=None):
+    """Every configuration satisfying the constraints (each constrained
+    cycle's holonomy in its class), with its uniform weight times, given a
+    heat kernel, the product of face kernels; words are read with
+    holonomy_of_word."""
+    classes = conjugacy_classes(G)
+    cycles = C.cycles_and_classes(m)
+    face_words = [EdgeWord(m.vertex_of(cyc[0][0]), tuple(d for d, _ in cyc))
+                  for cyc in faces(m).cycles]
+    qs = [hk.density(t).values for t in m.areas] if hk else []
+    edges = m.edges()
+    kept = []
+    for vals in itertools.product(range(G.n), repeat=len(edges)):
+        config = dict(zip(edges, vals))
+        if all(classes.class_of[holonomy_of_word(
+                G, m, config, EdgeWord(m.vertex_of(cyc[0]), cyc))] == c
+               for cyc, c in cycles):
+            w = math.prod(q[holonomy_of_word(G, m, config, word)]
+                          for word, q in zip(face_words, qs))
+            kept.append((config, w))
+    return [(config, w / len(kept)) for config, w in kept]
+
+
+def brute_marginal(G, m, field, gens):
+    pmf = {}
+    for config, w in field:
+        key = tuple(holonomy_of_word(G, m, config, g) for g in gens)
+        pmf[key] = pmf.get(key, 0.0) + w
+    return pmf
+
+
+def assert_pmf_equal(got, want, tol=1e-12):
+    for key in set(got) | set(want):
+        assert got.get(key, 0.0) == pytest.approx(want.get(key, 0.0), abs=tol)
+
+
+def twice_subdivided_disk():
+    m = standard_map(SurfaceSpec(True, 0, 1, 1.0, (2,)))
+    m, _ = subdivide_edge(m, m.boundary[0][0])
+    m, _ = subdivide_edge(m, m.boundary[0][1])
+    return m
+
+
+def split_torus():
+    fine, _ = split_face(torus_map(), 0, 0, 2, (0.4, 0.6))
+    return subdivide_edge(fine, fine.n_darts - 1)[0]
+
+
+def subdivided_klein():
+    m = standard_map(SurfaceSpec(False, 2, 0, 1.0))
+    m, _ = subdivide_edge(m, 0)
+    return subdivide_edge(m, 2)[0]
+
+
+ORACLE_CASES = [
+    # a boundary circuit of three edges, constrained to the 3-cycles
+    ("twice-subdivided disk", SurfaceSpec(True, 0, 1, 1.0, (2,)),
+     twice_subdivided_disk),
+    ("three-holed sphere", SurfaceSpec(True, 0, 3, 1.0, (1, 1, 2)),
+     lambda: standard_map(SurfaceSpec(True, 0, 3, 1.0, (1, 1, 2)))),
+    ("split torus", SurfaceSpec(True, 2, 0, 1.0), split_torus),
+    ("subdivided klein", SurfaceSpec(False, 2, 0, 1.0), subdivided_klein),
+]
+
+
+@pytest.mark.parametrize("name,spec,build", ORACLE_CASES,
+                         ids=[c[0] for c in ORACLE_CASES])
+def test_gauge_fixed_sums_match_brute_force(name, spec, build):
+    G, hk = make_hk("S3")
+    m = build()
+    assert m.n_vertices > 1
+    C = GConstraints(boundary_classes=spec.constraints)
+    field = brute_field(G, m, C, hk)
+    z = sum(w for _, w in field)
+    assert partition_graph(G, m, C, hk) == pytest.approx(z, abs=1e-12)
+    assert z == pytest.approx(partition_formula(G, spec, hk), abs=1e-10)
+    gens = free_basis(m, 0)
+    pmf, total = marginal_generators(G, m, C, gens, hk)
+    assert total == pytest.approx(z, abs=1e-12)
+    assert_pmf_equal(pmf, brute_marginal(G, m, field, gens))
+
+
+def test_marked_cycle_holonomy_lies_in_its_class():
+    """A marked cycle of three loops on the one-vertex double torus: its
+    holonomy, read in traversal order like every other word, is uniform on
+    the 3-cycles of S3 (the reversed product need not even be a 3-cycle)."""
+    G, hk = make_hk("S3")
+    classes = conjugacy_classes(G)
+    m = standard_map(SurfaceSpec(True, 4, 0, 1.0))
+    mark = (0, 2, 4)
+    C = GConstraints(marks=((mark, 2),))
+    field = brute_field(G, m, C, hk)
+    assert partition_graph(G, m, C, hk) == pytest.approx(
+        sum(w for _, w in field), abs=1e-12)
+    pmf, _ = marginal_generators(G, m, C, [EdgeWord(0, mark)],
+                                 normalize=True)
+    assert {classes.class_of[h] for (h,) in pmf} == {2}
+    for (h,), p in pmf.items():
+        assert p == pytest.approx(1 / classes.sizes[2], abs=1e-12)
+
+
+def test_marginal_words_at_two_bases_match_brute_force():
+    """Loops at two vertices and an open path between them: their joint
+    law depends on the gauge at both ends."""
+    G, hk = make_hk("S3")
+    m = split_torus()
+    far = next(e for e in m.edges()
+               if m.vertex_of(e) != m.vertex_of(m.alpha[e]))
+    gens = (free_basis(m, m.vertex_of(far))[:2]
+            + free_basis(m, m.vertex_of(m.alpha[far]))[:1]
+            + [EdgeWord(m.vertex_of(far), (far,))])
+    assert len({g.base for g in gens}) == 2
+    field = brute_field(G, m, GConstraints(), hk)
+    pmf, _ = marginal_generators(G, m, GConstraints(), gens, hk)
+    assert_pmf_equal(pmf, brute_marginal(G, m, field, gens))
+    pmf, _ = marginal_generators(G, m, GConstraints(), gens)
+    uniform = brute_field(G, m, GConstraints())
+    assert_pmf_equal(pmf, brute_marginal(G, m, uniform, gens))
+
+
+def test_gauge_fixed_count_and_cap():
+    """n^(E - V + 1 - #cycles) prod |C_i| representatives: 3 * 3 * 2 on the
+    three-holed sphere over S3, against 6^6 raw configurations."""
+    G, hk = make_hk("S3")
+    spec = SurfaceSpec(True, 0, 3, 1.0, (1, 1, 2))
+    m, _ = subdivide_edge(standard_map(spec), 0)
+    C = GConstraints(boundary_classes=spec.constraints)
+    configs = list(constrained_configurations(G, m, C, conjugacy_classes(G)))
+    assert len(configs) == 18
+    assert all(w == pytest.approx(1 / 18, abs=1e-15) for _, w in configs)
+    partition_graph(G, m, C, hk, cap=18)
+    with pytest.raises(CapExceeded):
+        partition_graph(G, m, C, hk, cap=17)
+
+
+def test_sample_df_gauge_dependent_edge_law():
+    """A spanning-tree edge is the identity on every gauge-fixed
+    representative; the draws must still follow its full field law."""
+    G, hk = make_hk("S3")
+    m, _ = subdivide_edge(torus_map(), 0)
+    tree = sorted(spanning_tree(m))
+    other = next(e for e in m.edges() if e not in tree)
+    pair = (tree[0], other)
+    law = Counter()
+    for config, w in brute_field(G, m, GConstraints(), hk):
+        law[tuple(config[e] for e in pair)] += w
+    z = sum(law.values())
+    draws = sample_df(G, m, GConstraints(), hk, seed=23, count=4000)
+    counts = Counter(tuple(config[e] for e in pair) for config in draws)
+    for key in set(law) | set(counts):
+        assert counts[key] / 4000 == pytest.approx(law[key] / z, abs=0.03)
+    assert len({config[tree[0]] for config in draws}) == G.n
+
+
+def test_sample_df_exact_path_follows_gauge_fixed_count():
+    """6^6 raw configurations but 18 representatives: exact sampling, which
+    keeps the boundary constraints, not the unconstrained heat bath."""
+    G, hk = make_hk("S3")
+    spec = SurfaceSpec(True, 0, 3, 1.0, (1, 1, 2))
+    m = standard_map(spec)
+    C = GConstraints(boundary_classes=spec.constraints)
+    classes = conjugacy_classes(G)
+    draws = sample_df(G, m, C, hk, seed=3, count=20, exact_limit=100)
+    for config in draws:
+        for circ, c in zip(m.boundary, spec.constraints):
+            h = holonomy_of_word(G, m, config, EdgeWord(m.vertex_of(circ[0]),
+                                                        circ))
+            assert classes.class_of[h] == c
