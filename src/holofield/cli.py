@@ -31,7 +31,6 @@ from .groups import (
     convolve,
     convolution_power,
     density_convolve,
-    delta_class,
     eta_measure,
     fourier_coefficient,
     kappa_measure,
@@ -43,7 +42,6 @@ from .levy import (
     heat_kernel_characters,
     heat_kernel_series,
     jump_measure_from_class_rates,
-    uniform_jump_measure,
 )
 from .surface import (
     MapError,
@@ -57,6 +55,7 @@ from .surface import (
 )
 from .loops import tame_generators
 from .holonomy import (
+    DEFAULT_CAP,
     CapExceeded,
     GConstraints,
     beta1,
@@ -72,6 +71,7 @@ from .covering import (
     bb_mass,
     counting_check,
     enumerate_H,
+    evaluate_word,
     sample_covering,
     verify_holo_mono,
 )
@@ -82,7 +82,6 @@ EXIT_INPUT = 2
 EXIT_CAP = 3
 
 DEFAULT_TOL = 1e-9
-DEFAULT_CAP = 10 ** 8
 
 
 class InputError(ValueError):
@@ -404,14 +403,7 @@ def _suite_tame(cfg, G, classes, pi, t):
         closed = G.n ** (1 - g - f)
         for zi, ti in zip(zs, areas):
             closed *= hk.density(ti).values[zi]
-        wa = 0
-        for i, s in tame.w:
-            x = key[i] if s == 1 else G.inv[key[i]]
-            wa = G.mul[wa][x]
-        zprod = 0
-        for z in zs:
-            zprod = G.mul[zprod][z]
-        if zprod != wa:
+        if G.word(zs) != evaluate_word(G, tame.w, key):
             closed = 0.0
         diff = max(diff, abs(val - closed))
     return [{"case": "joint generator law = closed form", "lhs": 0.0,

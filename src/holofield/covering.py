@@ -14,6 +14,7 @@ strongest cross-check in the package.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import random
@@ -21,18 +22,17 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .groups import (
-    ClassMeasure,
     ConjugacyClassTable,
     FiniteGroup,
     conjugacy_classes,
-    convolve,
+    convolution_power,
 )
 from .levy import (
     DEFAULT_TAIL_TOL,
     HeatKernel,
     JumpMeasure,
     heat_kernel_series,
-    poisson_truncation_index,
+    poisson_weights,
 )
 from .surface import RibbonMap, SurfaceSpec, is_orientable
 from .loops import TameGenerators
@@ -278,13 +278,8 @@ def twist_mass_contraction(G: FiniteGroup, spec: SurfaceSpec,
     (w(a) c_1..c_p)^{-1}. Exact when the jump rates are rational."""
     if classes is None:
         classes = conjugacy_classes(G)
-    base = SurfaceSpec(spec.orientable, spec.genus, spec.boundaries, 1.0,
-                       spec.constraints)
-    mu = measure_m(G, base, classes)
-    pow_k = ClassMeasure(G, tuple([Fraction(1)] + [Fraction(0)] * (G.n - 1)))
-    pi1 = pi.normalized()
-    for _ in range(k):
-        pow_k = convolve(pow_k, pi1)
+    mu = measure_m(G, spec, classes)
+    pow_k = convolution_power(pi.normalized(), k)
     scale = G.n ** spec.genus * math.prod(
         classes.sizes[c] for c in spec.constraints)
     total = sum(mu.weights[x] * pow_k.weights[G.inv[x]] * scale
@@ -306,58 +301,12 @@ def bb_mass(G: FiniteGroup, spec: SurfaceSpec, pi: JumpMeasure,
             "non-orientable surfaces need an inversion-invariant jump measure")
     if t is None:
         t = spec.area
-    base = SurfaceSpec(spec.orientable, spec.genus, spec.boundaries, 1.0,
-                       spec.constraints)
-    mu = measure_m(G, base, classes)
-    rate = float(pi.total_rate)
-    if rate * t == 0:
-        series = {0: 1.0}
-    else:
-        K = poisson_truncation_index(rate * t, tail_tol)
-        series = {}
-        coeff = math.exp(-rate * t)
-        acc = coeff
-        series[0] = coeff
-        for k in range(1, K + 1):
-            coeff *= rate * t / k
-            series[k] = coeff
-            acc += coeff
-        for k in series:
-            series[k] /= acc
-    pi1 = pi.normalized()
-    pow_k = [1.0] + [0.0] * (G.n - 1)
-    pi1f = [float(w) for w in pi1.weights]
-    mass = 0.0
-    for k in sorted(series):
-        mass += series[k] * sum(float(mu.weights[x]) * pow_k[G.inv[x]]
-                            for x in range(G.n))
-        nxt = [0.0] * G.n
-        for y in range(G.n):
-            wy = pow_k[y]
-            if wy == 0.0:
-                continue
-            row = G.mul[y]
-            for z in range(G.n):
-                if pi1f[z]:
-                    nxt[row[z]] += wy * pi1f[z]
-        pow_k = nxt
-    return float(_prefactor(G, spec, classes)) * G.n ** spec.genus * \
-        math.prod(classes.sizes[c] for c in spec.constraints) * mass
-
-
-def sample_poisson(rng: random.Random, intensity: float) -> int:
-    """Poisson draw by inversion of the cumulative distribution."""
-    u = rng.random()
-    k = 0
-    p = math.exp(-intensity)
-    acc = p
-    while u > acc:
-        k += 1
-        p *= intensity / k
-        acc += p
-        if k > 1000:
-            raise ValueError("intensity too large for inversion sampling")
-    return k
+    mu = measure_m(G, spec, classes)
+    # sum_k P(N = k) twist_mass_contraction(k): the prefactor times the
+    # contraction's scale is n, and n sum_k P(N = k) Pi_1^{*k} is the
+    # series heat kernel
+    q = heat_kernel_series(pi, t, tail_tol).values
+    return float(sum(float(w) * q[G.inv[x]] for x, w in enumerate(mu.weights)))
 
 
 def sample_covering(G: FiniteGroup, spec: SurfaceSpec, pi: JumpMeasure,
@@ -377,26 +326,20 @@ def sample_covering(G: FiniteGroup, spec: SurfaceSpec, pi: JumpMeasure,
         raise ValueError(
             "non-orientable surfaces need an inversion-invariant jump measure")
     intensity = float(pi.total_rate) * spec.area
-    pi1 = [float(w) for w in pi.normalized().weights]
-    cum = list(itertools.accumulate(pi1))
+    cum_k = list(itertools.accumulate(poisson_weights(intensity,
+                                                      DEFAULT_TAIL_TOL)))
+    cum = list(itertools.accumulate(float(w)
+                                    for w in pi.normalized().weights))
     rng = random.Random(seed)
 
-    def draw_twist():
-        u = rng.random() * cum[-1]
-        lo, hi = 0, len(cum) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if cum[mid] < u:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
-
     for _ in range(max_attempts):
-        k = sample_poisson(rng, intensity)
+        # both draws invert a cumulative distribution by bisection; the
+        # clamp covers a normalized sum that rounds below u
+        k = min(bisect.bisect_left(cum_k, rng.random()), len(cum_k) - 1)
         a = tuple(rng.randrange(G.n) for _ in range(spec.genus))
         c = tuple(rng.choice(orbit) for orbit in orbits)
-        d = tuple(draw_twist() for _ in range(k))
+        d = tuple(bisect.bisect_left(cum, rng.random() * cum[-1])
+                  for _ in range(k))
         acc = evaluate_word(G, word, a)
         for x in c + d:
             acc = G.mul[acc][x]

@@ -10,7 +10,6 @@ class-multiplication matrices.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
@@ -35,8 +34,6 @@ __all__ = [
     "fourier_coefficient",
 ]
 
-_ASSOC_FULL_CHECK_MAX = 64
-_ASSOC_SPOT_CHECKS = 10_000
 _CHAR_MAX_RETRIES = 32
 
 
@@ -57,9 +54,14 @@ class FiniteGroup:
     inv: tuple[int, ...]
     labels: tuple[str, ...]
     name: str = "group"
+    # data derived from the table, built on first use and kept
+    _derived: dict = field(default_factory=dict, init=False, compare=False,
+                           repr=False)
 
-    def op(self, x: int, y: int) -> int:
-        return self.mul[x][y]
+    def _cached(self, key: str, build):
+        if key not in self._derived:
+            self._derived[key] = build(self)
+        return self._derived[key]
 
     def word(self, elements) -> int:
         """Product of a sequence of element indices, left to right."""
@@ -89,14 +91,6 @@ class FiniteGroup:
                         seen.add(y)
                         frontier.append(y)
         return frozenset(seen)
-
-    def centralizer_order(self, elements) -> int:
-        elems = list(elements)
-        return sum(
-            1
-            for g in range(self.n)
-            if all(self.mul[g][x] == self.mul[x][g] for x in elems)
-        )
 
     def __repr__(self):
         return f"FiniteGroup({self.name}, n={self.n})"
@@ -152,21 +146,8 @@ class ClassMeasure:
                 return False
         return True
 
-    def inverted(self) -> "ClassMeasure":
-        """The pushforward under x -> x^-1."""
-        inv = self.group.inv
-        w = [self.weights[inv[x]] for x in range(self.group.n)]
-        return ClassMeasure(self.group, tuple(w))
-
     def scaled(self, factor) -> "ClassMeasure":
         return ClassMeasure(self.group, tuple(w * factor for w in self.weights))
-
-    def to_density(self) -> "ClassDensity":
-        n = self.group.n
-        return ClassDensity(self.group, tuple(w * n for w in self.weights))
-
-    def as_floats(self) -> np.ndarray:
-        return np.array([float(w) for w in self.weights])
 
 
 @dataclass(frozen=True)
@@ -180,24 +161,6 @@ class ClassDensity:
     def __post_init__(self):
         if len(self.values) != self.group.n:
             raise ValueError("value vector length must equal group order")
-
-    @property
-    def mean(self):
-        return sum(self.values) / self.group.n
-
-    def is_probability_density(self, tol=1e-12) -> bool:
-        return abs(self.mean - 1) <= tol
-
-    def to_measure(self) -> ClassMeasure:
-        n = self.group.n
-        if all(isinstance(v, (int, Fraction)) for v in self.values):
-            return ClassMeasure(
-                self.group, tuple(Fraction(v, n) for v in self.values)
-            )
-        return ClassMeasure(self.group, tuple(v / n for v in self.values))
-
-    def as_floats(self) -> np.ndarray:
-        return np.array([float(v) for v in self.values])
 
 
 @dataclass(frozen=True)
@@ -213,10 +176,6 @@ class CharacterTable:
     @property
     def r(self) -> int:
         return self.classes.r
-
-    def chi(self, alpha: int, x: int) -> complex:
-        """Character value at a group element."""
-        return self.table[alpha, self.classes.class_of[x]]
 
 
 # ---------------------------------------------------------------------------
@@ -235,19 +194,27 @@ def _validate_table(n: int, mul) -> None:
     for x in range(n):
         if mul[0][x] != x or mul[x][0] != x:
             raise GroupError("element 0 is not an identity")
-    # associativity: full check for small orders, spot check above
-    if n <= _ASSOC_FULL_CHECK_MAX:
-        for a in range(n):
-            for b in range(n):
-                ab = mul[a][b]
-                for c in range(n):
-                    if mul[ab][c] != mul[a][mul[b][c]]:
-                        raise GroupError("multiplication table is not associative")
-    else:
-        rng = np.random.default_rng(0)
-        for a, b, c in rng.integers(0, n, size=(_ASSOC_SPOT_CHECKS, 3)):
-            if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
-                raise GroupError("multiplication table is not associative")
+    # Light's test: the s with (x s) y = x (s y) for all x, y are closed
+    # under products, so checking a generating set is exact.  Generators
+    # are picked greedily: the first element not yet reached as a product.
+    gens: list[int] = []
+    reached = {0}
+    for x in range(n):
+        if x in reached:
+            continue
+        gens.append(x)
+        frontier = list(reached)
+        while frontier:
+            y = frontier.pop()
+            for s in gens:
+                z = mul[y][s]
+                if z not in reached:
+                    reached.add(z)
+                    frontier.append(z)
+    table = np.array(mul)
+    for s in gens:
+        if not np.array_equal(table[table[:, s]], table[:, table[s]]):
+            raise GroupError("multiplication table is not associative")
 
 
 def _invert(n: int, mul) -> tuple[int, ...]:
@@ -420,6 +387,11 @@ def build_group(spec) -> FiniteGroup:
 
 
 def conjugacy_classes(G: FiniteGroup) -> ConjugacyClassTable:
+    """The class table of G, built once per group."""
+    return G._cached("classes", _conjugacy_classes)
+
+
+def _conjugacy_classes(G: FiniteGroup) -> ConjugacyClassTable:
     n = G.n
     class_of = [-1] * n
     reps: list[int] = []
@@ -566,50 +538,51 @@ def _require_same_group(a, b):
         raise ValueError("operands live on different groups")
 
 
+def _ldiv(G: FiniteGroup) -> np.ndarray:
+    """ldiv[y, x] = y^-1 x, as an index table built once per group."""
+    return G._cached("ldiv", lambda G: np.array(G.mul)[list(G.inv)])
+
+
+def _convolve(G: FiniteGroup, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(a * b)[x] = sum_y a[y] b[y^-1 x] for weight vectors indexed by
+    element.  Only the rows where a is non-zero are multiplied, so sparse
+    left operands stay cheap and object arrays of Fractions stay exact."""
+    nz = np.flatnonzero(a)
+    return a[nz] @ b[_ldiv(G)[nz]]
+
+
+def _weights(*seqs) -> list[np.ndarray]:
+    """Weight sequences as arrays: objects when every entry is an int or a
+    Fraction, so that arithmetic stays exact, floats otherwise."""
+    exact = all(isinstance(w, (int, Fraction)) for s in seqs for w in s)
+    return [np.array(s, dtype=object if exact else float) for s in seqs]
+
+
 def convolve(mu: ClassMeasure, nu: ClassMeasure) -> ClassMeasure:
     """(mu * nu)({x}) = sum_y mu({y}) nu({y^-1 x})."""
     _require_same_group(mu, nu)
-    G = mu.group
-    n = G.n
-    exact = all(isinstance(w, (int, Fraction)) for w in mu.weights + nu.weights)
-    zero = Fraction(0) if exact else 0.0
-    out = [zero] * n
-    for y in range(n):
-        wy = mu.weights[y]
-        if wy == 0:
-            continue
-        iy = G.inv[y]
-        for x in range(n):
-            out[x] += wy * nu.weights[G.mul[iy][x]]
-    return ClassMeasure(G, tuple(out))
+    a, b = _weights(mu.weights, nu.weights)
+    return ClassMeasure(mu.group, tuple(_convolve(mu.group, a, b).tolist()))
 
 
 def convolution_power(mu: ClassMeasure, k: int) -> ClassMeasure:
     """mu^{*k}; k = 0 gives the point mass at the identity."""
     G = mu.group
-    exact = all(isinstance(w, (int, Fraction)) for w in mu.weights)
-    one = Fraction(1) if exact else 1.0
-    zero = Fraction(0) if exact else 0.0
-    acc = ClassMeasure(G, tuple([one] + [zero] * (G.n - 1)))
+    (w,) = _weights(mu.weights)
+    one = Fraction(1) if w.dtype == object else 1.0
+    acc = np.array([one] + [one * 0] * (G.n - 1), dtype=w.dtype)
     for _ in range(k):
-        acc = convolve(acc, mu)
-    return acc
+        acc = _convolve(G, acc, w)
+    return ClassMeasure(G, tuple(acc.tolist()))
 
 
 def density_convolve(f: ClassDensity, g: ClassDensity) -> ClassDensity:
     """(f * g)(x) = (1/n) sum_y f(y) g(y^-1 x)."""
     _require_same_group(f, g)
     G = f.group
-    n = G.n
-    out = [0.0] * n
-    for y in range(n):
-        fy = f.values[y]
-        if fy == 0:
-            continue
-        iy = G.inv[y]
-        for x in range(n):
-            out[x] += fy * g.values[G.mul[iy][x]]
-    return ClassDensity(G, tuple(v / n for v in out))
+    out = _convolve(G, np.array(f.values, dtype=float),
+                    np.array(g.values, dtype=float)) / G.n
+    return ClassDensity(G, tuple(out.tolist()))
 
 
 def delta_class(
@@ -629,7 +602,12 @@ def delta_class(
 
 
 def eta_measure(G: FiniteGroup) -> ClassMeasure:
-    """Law of the commutator a b a^-1 b^-1 of two uniform elements; exact."""
+    """Law of the commutator a b a^-1 b^-1 of two uniform elements; exact,
+    built once per group."""
+    return G._cached("eta", _eta_measure)
+
+
+def _eta_measure(G: FiniteGroup) -> ClassMeasure:
     n = G.n
     counts = [0] * n
     for a, b in product(range(n), repeat=2):
@@ -638,7 +616,12 @@ def eta_measure(G: FiniteGroup) -> ClassMeasure:
 
 
 def kappa_measure(G: FiniteGroup) -> ClassMeasure:
-    """Law of the square of a uniform element; exact."""
+    """Law of the square of a uniform element; exact, built once per
+    group."""
+    return G._cached("kappa", _kappa_measure)
+
+
+def _kappa_measure(G: FiniteGroup) -> ClassMeasure:
     n = G.n
     counts = [0] * n
     for a in range(n):

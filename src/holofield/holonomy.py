@@ -199,6 +199,14 @@ def partition_graph(G: FiniteGroup, m: RibbonMap, C: GConstraints,
         G, m, C, lambda cfg: _face_weight(G, words, cfg), classes, cap)
 
 
+def _word_law(G: FiniteGroup, orientable: bool, genus: int) -> ClassMeasure:
+    """Law of the surface word w(a) at uniform a: eta^{*genus/2} for
+    commutators, kappa^{*genus} for squares."""
+    if orientable:
+        return convolution_power(eta_measure(G), genus // 2)
+    return convolution_power(kappa_measure(G), genus)
+
+
 def measure_m(G: FiniteGroup, spec: SurfaceSpec,
               classes: ConjugacyClassTable | None = None) -> ClassMeasure:
     """The invariant probability measure of a surface: commutators (through
@@ -206,10 +214,7 @@ def measure_m(G: FiniteGroup, spec: SurfaceSpec,
     one class convolution per boundary."""
     if classes is None:
         classes = conjugacy_classes(G)
-    if spec.orientable:
-        mu = convolution_power(eta_measure(G), spec.genus // 2)
-    else:
-        mu = convolution_power(kappa_measure(G), spec.genus)
+    mu = _word_law(G, spec.orientable, spec.genus)
     for c in spec.constraints:
         mu = convolve(mu, delta_class(G, c, classes))
     return mu
@@ -240,9 +245,6 @@ class SymmetricClassFunction:
             raise ValueError("wrong arity")
         return self.values[tuple(sorted(cs))]
 
-    def at_element(self, *xs: int) -> float:
-        return self(*(self.classes.class_of[x] for x in xs))
-
     def check_symmetry(self, tol: float = 0.0) -> bool:
         for key in self.values:
             for perm in itertools.permutations(key):
@@ -260,10 +262,7 @@ def z_function(G: FiniteGroup, orientable: bool, p: int, g: int, t: float,
     if not orientable and not hk.pi.inversion_invariant:
         raise ValueError(
             "non-orientable surfaces need an inversion-invariant jump measure")
-    if orientable:
-        base = convolution_power(eta_measure(G), g // 2)
-    else:
-        base = convolution_power(kappa_measure(G), g)
+    base = _word_law(G, orientable, g)
     q = hk.density(t)
     out = {}
     for tup in itertools.combinations_with_replacement(range(classes.r), p):

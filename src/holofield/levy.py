@@ -5,6 +5,7 @@ admissibility, and the heat kernel Q_t computed by two independent routes
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -17,9 +18,10 @@ from .groups import (
     ClassMeasure,
     ConjugacyClassTable,
     FiniteGroup,
+    _convolve,
+    _ldiv,
     character_table,
     conjugacy_classes,
-    convolve,
     fourier_coefficient,
 )
 
@@ -33,6 +35,7 @@ __all__ = [
     "heat_kernel_characters",
     "positivity_support_check",
     "poisson_truncation_index",
+    "poisson_weights",
 ]
 
 DEFAULT_TAIL_TOL = 1e-12
@@ -157,21 +160,48 @@ def check_admissible(
     )
 
 
+def poisson_weights(m: float, tail_tol: float) -> np.ndarray:
+    """P(Poisson(m) = k) for k = 0..K, K the smallest index with
+    P(Poisson(m) > K) <= tail_tol, renormalized to sum to one.
+
+    The terms are built outward from the mode, whose log-probability is
+    exact, so nothing under- or overflows at large m, and the tail is
+    summed from its small end instead of taken as 1 minus a sum."""
+    m = float(m)
+    if m < 0 or not tail_tol > 0:
+        raise ValueError("need a non-negative mean and a positive tail_tol")
+    if m == 0:
+        return np.ones(1)
+    mode = int(m)
+    terms = [math.exp(mode * math.log(m) - m - math.lgamma(mode + 1))]
+    for k in range(mode, 0, -1):
+        terms.append(terms[-1] * k / m)
+    terms.reverse()
+    # past k > m the terms fall faster than a geometric series of ratio
+    # m/(k+1), which bounds the rest; stop once that bound is negligible
+    k, rest = mode, math.inf
+    while rest > 1e-9 * tail_tol:
+        k += 1
+        terms.append(terms[-1] * m / k)
+        ratio = m / (k + 1)
+        rest = terms[-1] * ratio / (1 - ratio) if ratio < 1 else math.inf
+    # beyond[k] bounds P(N > k)
+    beyond = np.append(np.cumsum(terms[:0:-1])[::-1], 0.0) + rest
+    K = int(np.argmax(beyond <= tail_tol))
+    w = np.array(terms[:K + 1])
+    return w / w.sum()
+
+
 def poisson_truncation_index(rate_times_t: float, tail_tol: float) -> int:
     """Smallest K with P(Poisson(m) > K) <= tail_tol, m = rate*t."""
-    m = float(rate_times_t)
-    if m == 0:
-        return 0
-    term = math.exp(-m)
-    cum = term
-    k = 0
-    while 1.0 - cum > tail_tol:
-        k += 1
-        term *= m / k
-        cum += term
-        if k > 100_000:
-            raise RuntimeError("Poisson truncation did not converge")
-    return k
+    return len(poisson_weights(rate_times_t, tail_tol)) - 1
+
+
+def _exponents(pi: JumpMeasure, table: CharacterTable) -> tuple[complex, ...]:
+    """lambda_alpha = Pi(G) - Pi^(alpha)/d_alpha, one per irrep."""
+    rate = complex(float(pi.total_rate))
+    return tuple(rate - fourier_coefficient(pi.measure, a, table) / table.dims[a]
+                 for a in range(table.r))
 
 
 @dataclass
@@ -187,11 +217,7 @@ class HeatKernel:
     _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        self.exponents = tuple(
-            complex(float(self.pi.total_rate))
-            - fourier_coefficient(self.pi.measure, a, self.table) / self.table.dims[a]
-            for a in range(self.table.r)
-        )
+        self.exponents = _exponents(self.pi, self.table)
 
     @property
     def group(self) -> FiniteGroup:
@@ -201,80 +227,62 @@ class HeatKernel:
         """Q_t by the character route (cached)."""
         key = float(t)
         if key not in self._cache:
-            self._cache[key] = heat_kernel_characters(self.pi, t, self.table)
+            self._cache[key] = _character_sum(self.table, self.exponents, t)
         return self._cache[key]
-
-    def density_series(self, t: float, tail_tol: float = DEFAULT_TAIL_TOL) -> ClassDensity:
-        return heat_kernel_series(self.pi, t, tail_tol)
 
 
 def heat_kernel_series(
     pi: JumpMeasure, t: float, tail_tol: float = DEFAULT_TAIL_TOL
 ) -> ClassDensity:
-    """Q_t(x) = n e^{-t Pi(G)} sum_k (t^k/k!) Pi^{*k}({x}), truncated so the
-    neglected Poisson tail is at most tail_tol, then renormalized."""
+    """Q_t = n sum_k P(N_{Pi(G) t} = k) Pi_1^{*k}, Pi_1 = Pi/Pi(G), by
+    convolution powers only.  For Pi(G) t > 1 the series runs at
+    s = t/2^h with Pi(G) s <= 1 and is squared h times (Q_2s = Q_s * Q_s).
+    The series at s drops Poisson mass at most tail_tol/2^h and each
+    squaring at most doubles an error, so Q_t stays within about
+    2 tail_tol of the exact kernel in total variation."""
     if t < 0:
         raise ValueError("time must be non-negative")
     G = pi.group
-    n = G.n
-    rate = float(pi.total_rate)
-    if t == 0 or rate == 0:
-        return ClassDensity(G, tuple([float(n)] + [0.0] * (n - 1)))
-    K = poisson_truncation_index(rate * t, tail_tol)
-    vals = np.zeros(n)
-    power = np.zeros(n)
-    power[0] = 1.0  # Pi^{*0} = delta_1
-    pi_w = pi.measure.as_floats()
-    # precompute convolution as matrix action: (mu * Pi)(x) = sum_y mu(y) Pi(y^-1 x)
-    conv = np.zeros((n, n))
-    for y in range(n):
-        iy = G.inv[y]
-        for x in range(n):
-            conv[y, x] = pi_w[G.mul[iy][x]]
-    log_coeff = -rate * t
-    coeff = math.exp(log_coeff)
-    vals += coeff * power
-    for k in range(1, K + 1):
-        power = power @ conv
-        coeff *= t / k
-        vals += coeff * power
-    vals *= n
-    total = vals.sum() / n
-    vals /= total  # declared normalization defect <= tail_tol
-    return ClassDensity(G, tuple(vals))
+    m = float(pi.total_rate) * t
+    if m == 0:
+        return ClassDensity(G, tuple([float(G.n)] + [0.0] * (G.n - 1)))
+    h = max(0, math.ceil(math.log2(m)))
+    pi1 = np.array([float(w) for w in pi.normalized().weights])
+    step = pi1[_ldiv(G)]  # (mu @ step)[x] = (mu * Pi_1)(x)
+    power = np.zeros(G.n)
+    power[0] = 1.0
+    q = np.zeros(G.n)
+    for w in poisson_weights(m / 2 ** h, tail_tol / 2 ** h):
+        q += w * power
+        power = power @ step
+    for _ in range(h):
+        q = _convolve(G, q, q)
+    return ClassDensity(G, tuple((G.n * q).tolist()))
 
 
 def heat_kernel_characters(
     pi: JumpMeasure, t: float, table: CharacterTable | None = None
 ) -> ClassDensity:
-    """Q_t(x) = e^{-t Pi(G)} sum_alpha e^{t Pi^(alpha)/d_alpha} d_alpha chi_alpha(x)."""
+    """Q_t(x) = sum_alpha e^{-t lambda_alpha} d_alpha chi_alpha(x)."""
+    if table is None:
+        table = character_table(pi.group)
+    return _character_sum(table, _exponents(pi, table), t)
+
+
+def _character_sum(table: CharacterTable, exponents, t: float) -> ClassDensity:
     if t < 0:
         raise ValueError("time must be non-negative")
-    G = pi.group
-    if table is None:
-        table = character_table(G)
-    classes = table.classes
-    rate = float(pi.total_rate)
-    coeffs = []
-    for a in range(table.r):
-        ph = fourier_coefficient(pi.measure, a, table)
-        coeffs.append(cmath_exp(t * ph / table.dims[a] - t * rate) * table.dims[a])
-    vals = []
-    for x in range(G.n):
-        c = classes.class_of[x]
+    coeffs = [cmath.exp(-t * lam) * d for lam, d in zip(exponents, table.dims)]
+    per_class = []
+    for c in range(table.r):
         z = sum(coeffs[a] * table.table[a, c] for a in range(table.r))
         if abs(z.imag) > 1e-9:
             raise ArithmeticError(
                 f"residual imaginary part {z.imag:.3e} in character sum"
             )
-        vals.append(z.real)
-    return ClassDensity(G, tuple(vals))
-
-
-def cmath_exp(z: complex) -> complex:
-    import cmath
-
-    return cmath.exp(z)
+        per_class.append(z.real)
+    return ClassDensity(table.group,
+                        tuple(per_class[c] for c in table.classes.class_of))
 
 
 @dataclass

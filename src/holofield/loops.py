@@ -11,7 +11,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 
 from .groups import FiniteGroup
-from .surface import FaceSet, MapError, RibbonMap, faces
+from .surface import MapError, RibbonMap, faces
 
 __all__ = [
     "EdgeWord",
@@ -283,6 +283,7 @@ class TameGenerators:
     w: list[tuple[int, int]]  # word in a-letters as (index, sign)
     cycles: list[tuple[tuple[int, int], ...]]  # oriented facial cycle per l
     conj: list[EdgeWord]  # l_i = conj_i^{-1} . cycle product . conj_i
+    tree: frozenset[int]  # spanning tree (edge ids) the lassos follow
 
     def relation_word(self, m: RibbonMap) -> EdgeWord:
         parts = [self.a[i] if s == 1 else inverse(m, self.a[i])
@@ -517,7 +518,7 @@ def tame_generators(m: RibbonMap, base: int = 0) -> TameGenerators:
     out = TameGenerators(
         base=base, a=a_words, a_edges=r_edges, c=c_words, c_meta=c_meta,
         l=l_words, face_of_l=face_of_l, w=w_letters, cycles=cycles,
-        conj=conjs,
+        conj=conjs, tree=frozenset(tree),
     )
     if out.relation_word(m).darts:
         raise MapError("tame relation did not reduce to the empty word")
@@ -538,7 +539,6 @@ def refine_generators(
     news = [j for j, i in containment.items() if i == face_old]
     if len(news) != 2:
         raise MapError("containment does not describe a single face split")
-    chord = next(d for d in range(coarse.n_darts, fine.n_darts))
     C = list(tame.cycles[split_position])
     fs_fine = faces(fine)
 
@@ -588,15 +588,15 @@ def refine_generators(
     if roles is None:
         raise MapError("sub-faces do not assemble back into the coarse face")
     cut, first, second = roles
-    return _assemble_refined(tame, coarse, fine, split_position, C, cut,
-                             first, second)
+    return _assemble_refined(tame, fine, split_position, C, cut, first,
+                             second)
 
 
-def _assemble_refined(tame, coarse, fine, split_position, C, cut, first,
+def _assemble_refined(tame, fine, split_position, C, cut, first,
                       second) -> TameGenerators:
     base = tame.base
     # lassos on the fine map reuse the coarse spanning tree (no new vertex)
-    tree = {e for e in _tame_tree_edges(tame, coarse)}
+    tree = tame.tree
     up = _tree_climb(fine, tree, base)
     x = _concat_all(
         fine, [lasso(fine, tree, d, base, up) for d, _ in C[:cut]], base)
@@ -638,25 +638,6 @@ def _assemble_refined(tame, coarse, fine, split_position, C, cut, first,
     return TameGenerators(
         base=base, a=tame.a, a_edges=tame.a_edges, c=tame.c,
         c_meta=tame.c_meta, l=l_list, face_of_l=faces_list, w=tame.w,
-        cycles=cycles, conj=conjs,
+        cycles=cycles, conj=conjs, tree=tree,
     )
 
-
-def _tame_tree_edges(tame: TameGenerators, m: RibbonMap) -> set[int]:
-    """Recover a spanning tree consistent with the tame system's lassos: the
-    edges not used as letters and not dual-tree chords are exactly the tree;
-    recomputing it from the construction inputs keeps paths identical."""
-    dual = dual_spanning_tree(m)
-    b_edges = set()
-    for circ in m.boundary:
-        d = min(circ, key=lambda x: m.edge_of(x))
-        b_edges.add(m.edge_of(d))
-    seeds = sorted(
-        m.edge_of(d) for circ in m.boundary for d in circ
-        if m.edge_of(d) not in b_edges
-    )
-    bdarts = m.boundary_darts()
-    allowed = [e for e in m.edges()
-               if e not in dual and e not in b_edges and e not in seeds
-               and not (e in bdarts or m.alpha[e] in bdarts)]
-    return _grow_tree(m, seeds, allowed)

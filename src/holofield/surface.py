@@ -169,9 +169,6 @@ class RibbonMap:
                 out.add(self.alpha[d])
         return out
 
-    def is_boundary_edge(self, d: int) -> bool:
-        return d in self.boundary_darts()
-
     def framed_darts(self) -> tuple[tuple[int, int], ...]:
         """All (dart, framing sign) pairs; a positively-bounding boundary
         dart keeps only +1, its reverse only -1, interior darts keep both."""
@@ -553,7 +550,9 @@ def split_face(
             if sub_areas is not None:
                 darts = {item for item in c} | {(new.alpha[d], -e)
                                                 for d, e in c}
-                sub[j] = sub_areas[0] if (gr, epsj) in darts else sub_areas[1]
+                # distinct faces have disjoint twin-closed dart sets
+                sub[j] = sub_areas[0] if cyc[corner_i] in darts \
+                    else sub_areas[1]
             elif m.areas is not None:
                 # no explicit sub-areas: split proportionally to perimeter
                 sub[j] = m.areas[face] * len(c) / (r + 2)

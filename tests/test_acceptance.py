@@ -2,7 +2,6 @@
 run at fixed tolerances across the builtin groups and reference surfaces."""
 
 import itertools
-import math
 import random
 from fractions import Fraction
 

@@ -26,7 +26,6 @@ from holofield.groups import build_group, character_table, conjugacy_classes
 from holofield.holonomy import CapExceeded, partition_formula
 from holofield.levy import (
     HeatKernel,
-    jump_measure_from_class_rates,
     uniform_jump_measure,
 )
 from holofield.surface import RibbonMap, SurfaceSpec, standard_map
@@ -156,6 +155,23 @@ def test_bb_mass_z2_sphere_closed_form():
     for t in (0.2, 1.0, 3.0):
         expect = math.exp(-t) * math.cosh(t) * 2  # 1 + e^{-2t}
         assert bb_mass(G, sphere(t), pi) == pytest.approx(expect, abs=1e-11)
+
+
+def test_bb_mass_at_large_rate_times_t():
+    G = build_group("S3")
+    pi = uniform_jump_measure(G, 1.0)
+    hk = HeatKernel(pi, character_table(G))
+    spec = SurfaceSpec(True, 2, 0, 1000.0)
+    assert bb_mass(G, spec, pi) == pytest.approx(
+        partition_formula(G, spec, hk), abs=1e-9)
+
+
+def test_sample_covering_at_large_intensity():
+    G = build_group("Z2")
+    pi = uniform_jump_measure(G, 1.0)
+    counts, tup = sample_covering(G, sphere(1500.0), pi, 0)
+    assert counts.total == tup.k > 1000
+    assert tup.relation_value() == 0
 
 
 HOLO_MONO_CASES = [

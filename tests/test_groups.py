@@ -1,10 +1,12 @@
-import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from holofield.groups import (
+    ClassDensity,
+    ClassMeasure,
     GroupError,
     build_group,
     builtin_names,
@@ -165,8 +167,56 @@ def test_kappa_hat_is_fs_indicator():
 
 
 def test_density_convolve_uniform_fixed_point():
-    from holofield.groups import ClassDensity
     G = build_group("S4")
     unif = ClassDensity(G, tuple(1.0 for _ in range(G.n)))
     out = density_convolve(unif, unif)
     assert max(abs(v - 1.0) for v in out.values) < 1e-12
+
+
+def test_derived_data_is_built_once():
+    G = build_group("S4")
+    assert conjugacy_classes(G) is conjugacy_classes(G)
+    assert eta_measure(G) is eta_measure(G)
+    assert kappa_measure(G) is kappa_measure(G)
+    # the cache takes no part in equality or hashing
+    H = build_group("S4")
+    assert G == H and hash(G) == hash(H)
+
+
+def _cyclic_table(n):
+    return [[(i + j) % n for j in range(n)] for i in range(n)]
+
+
+def test_large_tables_are_checked_exactly():
+    assert build_group(_cyclic_table(70)).n == 70
+    # swap an intercalate of Z66: still a Latin square with identity 0,
+    # but no longer associative
+    table = _cyclic_table(66)
+    a, b, c, d = 1, 34, 2, 35
+    table[a][c], table[a][d] = table[a][d], table[a][c]
+    table[b][c], table[b][d] = table[b][d], table[b][c]
+    assert sorted(table[a]) == list(range(66))
+    with pytest.raises(GroupError, match="associative"):
+        build_group(table)
+
+
+def _reference_convolution(G, a, b):
+    return [sum(a[y] * b[G.mul[G.inv[y]][x]] for y in range(G.n))
+            for x in range(G.n)]
+
+
+def test_convolution_matches_the_definition():
+    """Against the defining loop: equal in exact arithmetic, and within
+    rounding in floats (numpy sums in another order)."""
+    G = build_group("A4")
+    rng = random.Random(5)
+    a = [Fraction(rng.randrange(4), 7) for _ in range(G.n)]
+    b = [Fraction(rng.randrange(9), 11) for _ in range(G.n)]
+    out = convolve(ClassMeasure(G, tuple(a)), ClassMeasure(G, tuple(b)))
+    assert list(out.weights) == _reference_convolution(G, a, b)
+    assert all(isinstance(w, Fraction) for w in out.weights)
+    f = [rng.random() for _ in range(G.n)]
+    g = [rng.random() for _ in range(G.n)]
+    dens = density_convolve(ClassDensity(G, tuple(f)), ClassDensity(G, tuple(g)))
+    ref = _reference_convolution(G, f, g)
+    assert max(abs(x - y / G.n) for x, y in zip(dens.values, ref)) <= 1e-15

@@ -431,3 +431,39 @@ def test_sample_df_exact_path_follows_gauge_fixed_count():
             h = holonomy_of_word(G, m, config, EdgeWord(m.vertex_of(circ[0]),
                                                         circ))
             assert classes.class_of[h] == c
+
+
+SPLIT_SPECS = [
+    SurfaceSpec(True, 2, 0, 1.0),
+    SurfaceSpec(True, 0, 1, 1.0, (1,)),
+    SurfaceSpec(True, 0, 2, 1.0, (1, 2)),
+    SurfaceSpec(True, 2, 1, 1.0, (1,)),
+    SurfaceSpec(False, 1, 0, 1.0),
+    SurfaceSpec(False, 2, 0, 1.0),
+    SurfaceSpec(False, 3, 0, 1.0),
+    SurfaceSpec(False, 1, 1, 1.0, (1,)),
+]
+
+
+@pytest.mark.parametrize("spec", SPLIT_SPECS, ids=[
+    "torus", "disk", "annulus", "holed torus", "projective plane",
+    "klein bottle", "three cross-caps", "moebius band"])
+def test_split_face_sub_areas_every_corner_pair(spec):
+    """Every chord of the standard map's face: the half holding corner i
+    gets the first sub-area and the other half the second, on
+    non-orientable maps too, so the graph sum still equals the formula."""
+    G, hk = make_hk("S3")
+    m = standard_map(spec)
+    C = GConstraints(spec.constraints)
+    zf = partition_formula(G, spec, hk)
+    cyc = faces(m).cycles[0]
+    for i, j in itertools.permutations(range(len(cyc)), 2):
+        fine, cont = split_face(m, 0, i, j, (0.3, 0.7))
+        fs = faces(fine)
+        for k, cycle in enumerate(fs.cycles):
+            if cont[k] != 0:
+                continue
+            darts = set(cycle) | {(fine.alpha[d], -e) for d, e in cycle}
+            expect = 0.3 if cyc[i] in darts else 0.7
+            assert fine.areas[k] == pytest.approx(expect, abs=1e-15)
+        assert partition_graph(G, fine, C, hk) == pytest.approx(zf, abs=1e-12)

@@ -11,12 +11,12 @@ from holofield.groups import (
 )
 from holofield.levy import (
     HeatKernel,
-    JumpMeasure,
     check_admissible,
     heat_kernel_characters,
     heat_kernel_series,
     jump_measure_from_class_rates,
     poisson_truncation_index,
+    poisson_weights,
     positivity_support_check,
     uniform_jump_measure,
 )
@@ -70,6 +70,40 @@ def test_poisson_truncation_bounds_tail():
         cum = sum(math.exp(-lam) * lam ** k / math.factorial(k)
                   for k in range(K + 1))
         assert 1.0 - cum <= 1e-12
+
+
+def _poisson_tail(m, K):
+    """P(Poisson(m) > K), summed in log space from the far end."""
+    top = int(m + 40 * math.sqrt(m) + 50)
+    return sum(math.exp(k * math.log(m) - m - math.lgamma(k + 1))
+               for k in range(top, K, -1))
+
+
+def test_poisson_truncation_at_large_mean():
+    K = poisson_truncation_index(1000, 1e-12)
+    assert _poisson_tail(1000, K) <= 1e-12 < _poisson_tail(1000, K - 1)
+
+
+def test_poisson_weights_are_the_normalized_law():
+    for m in (1e-3, 0.5, 3.7, 60.0, 1500.0):
+        w = poisson_weights(m, 1e-12)
+        assert len(w) == poisson_truncation_index(m, 1e-12) + 1
+        assert sum(w) == pytest.approx(1.0, abs=1e-14)
+        for k in range(0, len(w), max(1, len(w) // 7)):
+            pmf = math.exp(k * math.log(m) - m - math.lgamma(k + 1))
+            assert w[k] == pytest.approx(pmf, rel=1e-9, abs=1e-300)
+
+
+@pytest.mark.parametrize("rate,t", [(1.0, 800.0), (16.0, 25.0)])
+def test_series_at_large_rate_times_t(rate, t):
+    """Past Pi(G) t of about 745 exp(-Pi(G) t) underflows, and at
+    Pi(G) = 16 the powers of Pi overflow well before that."""
+    G = build_group("S3")
+    pi = uniform_jump_measure(G, rate)
+    ser = heat_kernel_series(pi, t)
+    cha = heat_kernel_characters(pi, t, character_table(G))
+    assert all(math.isfinite(v) for v in ser.values)
+    assert max(abs(a - b) for a, b in zip(ser.values, cha.values)) <= 1e-9
 
 
 def test_series_matches_characters():

@@ -175,6 +175,15 @@ def test_refine_generators_twice():
     assert tame.relation_word(finer).darts == ()
 
 
+def test_refined_generators_keep_the_spanning_tree():
+    m = torus_map()
+    tame = tame_generators(m)
+    fine, cont = split_face(m, 0, 0, 2)
+    refined = refine_generators(tame, m, fine, 0, cont)
+    assert refined.tree == tame.tree
+    assert len(refined.tree) == fine.n_vertices - 1
+
+
 def test_holonomy_multiplicative_and_inverse():
     G = build_group("S3")
     m = theta_map()
