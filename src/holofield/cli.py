@@ -397,13 +397,15 @@ def _suite_tame(cfg, G, classes, pi, t):
                                  cap=cfg.cap)
     g, f = len(tame.a), len(tame.l)
     areas = [m2.areas[i] for i in tame.face_of_l]
+    # the relation w(a) = z_1 ... z_f, as w(a) z_f^-1 ... z_1^-1 = 1
+    relation = tame.w + [(i, -1) for i in range(g + f - 1, g - 1, -1)]
     diff = 0.0
     for key, val in pmf.items():
         zs = key[g:]
         closed = G.n ** (1 - g - f)
         for zi, ti in zip(zs, areas):
             closed *= hk.density(ti).values[zi]
-        if G.word(zs) != evaluate_word(G, tame.w, key):
+        if evaluate_word(G, relation, key) != 0:
             closed = 0.0
         diff = max(diff, abs(val - closed))
     return [{"case": "joint generator law = closed form", "lhs": 0.0,

@@ -15,11 +15,14 @@ strongest cross-check in the package.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+
+import numpy as np
 
 from .groups import (
     ConjugacyClassTable,
@@ -35,7 +38,7 @@ from .levy import (
     poisson_weights,
 )
 from .surface import RibbonMap, SurfaceSpec, is_orientable
-from .loops import TameGenerators
+from .loops import TameGenerators, _product_blocks, holonomy_of_steps
 from .holonomy import (
     DEFAULT_CAP,
     CapExceeded,
@@ -61,13 +64,20 @@ def canonical_word(orientable: bool, genus: int) -> list[tuple[int, int]]:
 
 
 def evaluate_word(G: FiniteGroup, word: list[tuple[int, int]],
-                  values: tuple[int, ...]) -> int:
-    """Multiplicative evaluation of a free-group word at group elements."""
-    out = 0
-    for i, s in word:
-        x = values[i] if s == 1 else G.inv[values[i]]
-        out = G.mul[out][x]
-    return out
+                  values) -> int | np.ndarray:
+    """Multiplicative evaluation of a free-group word at group elements,
+    or at a (letter, row) block of them."""
+    return holonomy_of_steps(G, [(i, s == -1) for i, s in word], values)
+
+
+@functools.lru_cache(maxsize=256)
+def _relation_steps(orientable: bool, genus: int, extra: int):
+    """w(a) c_1..c_p d_1..d_k read on the entries a + c + d, with `extra`
+    = p + k letters after the genus ones, compiled once for
+    holonomy_of_steps."""
+    word = canonical_word(orientable, genus)
+    word += [(i, 1) for i in range(genus, genus + extra)]
+    return tuple((i, s == -1) for i, s in word)
 
 
 @dataclass(frozen=True)
@@ -106,12 +116,9 @@ class MonodromyTuple:
 
     def relation_value(self) -> int:
         """w(a) c_1..c_p d_1..d_k, which must be the identity."""
-        G = self.group
-        out = evaluate_word(G, canonical_word(self.orientable, self.genus),
-                            self.a)
-        for x in self.c + self.d:
-            out = G.mul[out][x]
-        return out
+        steps = _relation_steps(self.orientable, self.genus,
+                                len(self.c) + len(self.d))
+        return holonomy_of_steps(self.group, steps, self.entries())
 
     def conjugate(self, g: int) -> "MonodromyTuple":
         G = self.group
@@ -146,13 +153,10 @@ class RamificationCounts:
         return sum(self.counts)
 
 
-def _spec_data(G: FiniteGroup, spec: SurfaceSpec,
-               classes: ConjugacyClassTable):
+def _orbits(spec: SurfaceSpec, classes: ConjugacyClassTable):
     if len(spec.constraints) != spec.boundaries:
         raise ValueError("every boundary needs a constrained class")
-    word = canonical_word(spec.orientable, spec.genus)
-    orbits = [classes.elements_of(c) for c in spec.constraints]
-    return word, orbits
+    return [classes.elements_of(c) for c in spec.constraints]
 
 
 def enumerate_H(G: FiniteGroup, spec: SurfaceSpec, k: int,
@@ -163,34 +167,28 @@ def enumerate_H(G: FiniteGroup, spec: SurfaceSpec, k: int,
     to the identity are rejected."""
     if classes is None:
         classes = conjugacy_classes(G)
-    word, orbits = _spec_data(G, spec, classes)
-    g, p = spec.genus, spec.boundaries
-    size = G.n ** (g + max(k - 1, 0)) * math.prod(len(o) for o in orbits)
+    orbits = _orbits(spec, classes)
+    g, p, free = spec.genus, spec.boundaries, max(k - 1, 0)
+    size = G.n ** (g + free) * math.prod(len(o) for o in orbits)
     if size > cap:
         raise CapExceeded(f"enumeration size {size} exceeds cap {cap}")
-    nontrivial = range(1, G.n)
+    # the last twist closes the relation: (w(a) c d_1..d_{k-1})^-1
+    closing = [(i, not rev) for i, rev in
+               reversed(_relation_steps(spec.orientable, g, p + free))]
     out = []
-    for a in itertools.product(range(G.n), repeat=g):
-        wa = evaluate_word(G, word, a)
-        for c in itertools.product(*orbits):
-            head = wa
-            for ci in c:
-                head = G.mul[head][ci]
-            if k == 0:
-                if head == 0:
-                    out.append(MonodromyTuple(G, spec.orientable, g,
-                                              spec.constraints, a, c, ()))
-                continue
-            for d_free in itertools.product(nontrivial, repeat=k - 1):
-                acc = head
-                for di in d_free:
-                    acc = G.mul[acc][di]
-                last = G.inv[acc]
-                if last == 0:
-                    continue
-                out.append(MonodromyTuple(G, spec.orientable, g,
-                                          spec.constraints, a, c,
-                                          d_free + (last,)))
+    for block in _product_blocks([range(G.n)] * g + orbits
+                                 + [range(1, G.n)] * free):
+        # it must not be the identity, and with no twists the relation must
+        # close by itself
+        last = np.broadcast_to(holonomy_of_steps(G, closing, block),
+                               block.shape[1:])
+        keep = (last == 0) == (k == 0)
+        rows = np.vstack([block, last[None]]) if k else block
+        for row in rows[:, keep].T.tolist():
+            out.append(MonodromyTuple(G, spec.orientable, g,
+                                      spec.constraints, tuple(row[:g]),
+                                      tuple(row[g:g + p]),
+                                      tuple(row[g + p:])))
     return out
 
 
@@ -321,7 +319,7 @@ def sample_covering(G: FiniteGroup, spec: SurfaceSpec, pi: JumpMeasure,
     accepted pair carries the correct joint law."""
     if classes is None:
         classes = conjugacy_classes(G)
-    word, orbits = _spec_data(G, spec, classes)
+    orbits = _orbits(spec, classes)
     if not spec.orientable and not pi.inversion_invariant:
         raise ValueError(
             "non-orientable surfaces need an inversion-invariant jump measure")
@@ -340,10 +338,8 @@ def sample_covering(G: FiniteGroup, spec: SurfaceSpec, pi: JumpMeasure,
         c = tuple(rng.choice(orbit) for orbit in orbits)
         d = tuple(bisect.bisect_left(cum, rng.random() * cum[-1])
                   for _ in range(k))
-        acc = evaluate_word(G, word, a)
-        for x in c + d:
-            acc = G.mul[acc][x]
-        if acc == 0:
+        steps = _relation_steps(spec.orientable, spec.genus, len(c) + k)
+        if holonomy_of_steps(G, steps, a + c + d) == 0:
             counts = RamificationCounts((k,), (intensity,))
             return counts, MonodromyTuple(G, spec.orientable, spec.genus,
                                           spec.constraints, a, c, d)
@@ -388,34 +384,30 @@ def monodromy_marginal(G: FiniteGroup, m: RibbonMap, tame: TameGenerators,
     g = len(tame.a)
     f = len(tame.l)
     areas = [m.areas[i] for i in tame.face_of_l]
-    face_pmf = []
-    for t in areas:
-        dens = heat_kernel_series(pi, t, tail_tol)
-        face_pmf.append([v / G.n for v in dens.values])
+    face_pmf = [np.array(heat_kernel_series(pi, t, tail_tol).values) / G.n
+                for t in areas]
     orbit_classes = _boundary_classes_for(tame, C, G, classes)
     orbits = [classes.elements_of(c) for c in orbit_classes]
+    p = len(orbits)
     pre = G.n ** (1 - g) / math.prod(len(o) for o in orbits)
+    # z_1 ... z_f = w(a) y_1 ... y_p forces the last face value
+    # z_f = z_{f-1}^-1 ... z_1^-1 w(a) y_1 ... y_p
+    last_word = [(i, -1) for i in range(g + p + f - 2, g + p - 1, -1)]
+    last_word += tame.w + [(g + i, 1) for i in range(p)]
     pmf: dict[tuple[int, ...], float] = {}
     total = 0.0
-    for a in itertools.product(range(G.n), repeat=g):
-        wa = evaluate_word(G, tame.w, a)
-        for c in itertools.product(*orbits):
-            head = wa
-            for y in c:
-                head = G.mul[head][y]
-            for z_free in itertools.product(range(G.n), repeat=f - 1):
-                zprod = 0
-                for z in z_free:
-                    zprod = G.mul[zprod][z]
-                # z_1 ... z_f = w(a) y_1 ... y_p forces the last face value
-                z_last = G.mul[G.inv[zprod]][head]
-                zs = z_free + (z_last,)
-                val = pre
-                for zi, fp in zip(zs, face_pmf):
-                    val *= fp[zi]
-                key = a + c + zs
-                pmf[key] = pmf.get(key, 0.0) + val
-                total += val
+    for block in _product_blocks([range(G.n)] * g + orbits
+                                 + [range(G.n)] * (f - 1)):
+        z_last = evaluate_word(G, last_word, block)
+        rows = np.vstack([block, np.broadcast_to(z_last, block.shape[1:])])
+        val = np.full(rows.shape[1], pre)
+        for z, fp in zip(rows[g + p:], face_pmf):
+            val = val * fp[z]
+        # (a, c, z_1 .. z_{f-1}) fixes the row, so every key is new
+        vals = val.tolist()
+        pmf.update(zip(map(tuple, rows.T.tolist()), vals))
+        for v in vals:
+            total += v
     if normalize:
         pmf = {k: v / total for k, v in pmf.items()}
     return pmf, total

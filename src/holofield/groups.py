@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
 
 import numpy as np
 
@@ -63,20 +62,9 @@ class FiniteGroup:
             self._derived[key] = build(self)
         return self._derived[key]
 
-    def word(self, elements) -> int:
-        """Product of a sequence of element indices, left to right."""
-        acc = 0
-        for x in elements:
-            acc = self.mul[acc][x]
-        return acc
-
     def conj(self, g: int, x: int) -> int:
         """g x g^-1."""
         return self.mul[self.mul[g][x]][self.inv[g]]
-
-    def commutator(self, a: int, b: int) -> int:
-        """a b a^-1 b^-1."""
-        return self.word([a, b, self.inv[a], self.inv[b]])
 
     def subgroup_generated(self, gens) -> frozenset[int]:
         """Closure of a set of elements under multiplication."""
@@ -132,12 +120,6 @@ class ClassMeasure:
     @property
     def mass(self):
         return sum(self.weights)
-
-    def is_probability(self, tol=1e-12) -> bool:
-        m = self.mass
-        if isinstance(m, Fraction):
-            return m == 1
-        return abs(m - 1) <= tol
 
     def is_class_constant(self, classes: ConjugacyClassTable, tol=1e-12) -> bool:
         for c in range(classes.r):
@@ -250,14 +232,13 @@ def _cyclic(n: int) -> FiniteGroup:
 
 def _from_permutations(perms: list[tuple[int, ...]], labels, name) -> FiniteGroup:
     """Group of permutations (tuples acting on points); element 0 must be id."""
-    index = {p: i for i, p in enumerate(perms)}
-    n = len(perms)
-    mul = [[0] * n for _ in range(n)]
-    for i, p in enumerate(perms):
-        for j, q in enumerate(perms):
-            comp = tuple(p[q[k]] for k in range(len(p)))  # (p o q)
-            mul[i][j] = index[comp]
-    return _from_table(mul, labels, name=name)
+    p = np.array(perms)
+    # each permutation by its digits in base k, and p o q for every pair
+    digits = p.shape[1] ** np.arange(p.shape[1])
+    code, comp = p @ digits, p[:, p] @ digits
+    order = np.argsort(code)
+    mul = order[np.searchsorted(code, comp, sorter=order)]
+    return _from_table(mul.tolist(), labels, name=name)
 
 
 def _symmetric(k: int, name: str) -> FiniteGroup:
@@ -440,15 +421,13 @@ def character_table(
     if r > 64:
         raise CharacterTableError("class count above supported bound (64)")
     n = G.n
-    by_class = [classes.elements_of(c) for c in range(r)]
-    # structure matrices
-    N = np.zeros((r, r, r))
-    for c in range(r):
-        for d in range(r):
-            for x in by_class[c]:
-                for y in by_class[d]:
-                    e = classes.class_of[G.mul[x][y]]
-                    N[c, d, e] += 1
+    mul = _tables(G, True)[0]
+    cls = np.array(classes.class_of)
+    # structure matrices: N[c, d, e] counts the pairs (x in C_c, y in C_d)
+    # with x y in C_e
+    x, y = np.divmod(np.arange(n * n), n)
+    N = np.bincount((cls[x] * r + cls[y]) * r + cls[mul], minlength=r ** 3)
+    N = N.reshape(r, r, r).astype(float)
     # N_c acting by right multiplication on class-sum coordinates:
     # (N_c)[d, e] counts products landing in class e
     for attempt in range(_CHAR_MAX_RETRIES):
@@ -496,9 +475,8 @@ def character_table(
         dims = [dims[a] for a in perm]
         # Frobenius-Schur indicator: (1/n) sum_x chi(x^2)
         fs = []
-        sq_class_count = [0] * r
-        for x in range(n):
-            sq_class_count[classes.class_of[G.mul[x][x]]] += 1
+        sq_class_count = np.bincount(cls[mul[np.arange(n) * (n + 1)]],
+                                     minlength=r).tolist()
         for a in range(r):
             val = sum(sq_class_count[c] * table[a, c] for c in range(r)) / n
             if abs(val.imag) > 1e-8 or abs(val.real - round(val.real)) > 1e-8:
@@ -536,6 +514,19 @@ def _check_orthogonality(ct: CharacterTable, tol=1e-9) -> None:
 def _require_same_group(a, b):
     if a.group is not b.group and a.group != b.group:
         raise ValueError("operands live on different groups")
+
+
+def _tables(G: FiniteGroup, arrays: bool):
+    """The multiplication table flattened (x*y at x*n + y) and the inverse
+    table, built once per group: as integer arrays, which index a whole
+    block of elements at once, or as tuples, which index one element
+    several times faster."""
+    key = "arrays" if arrays else "tuples"
+    if key not in G._derived:
+        mul = np.array(G.mul, dtype=np.intp).ravel()
+        G._derived["arrays"] = mul, np.array(G.inv, dtype=np.intp)
+        G._derived["tuples"] = tuple(mul.tolist()), G.inv
+    return G._derived[key]
 
 
 def _ldiv(G: FiniteGroup) -> np.ndarray:
@@ -609,10 +600,16 @@ def eta_measure(G: FiniteGroup) -> ClassMeasure:
 
 def _eta_measure(G: FiniteGroup) -> ClassMeasure:
     n = G.n
-    counts = [0] * n
-    for a, b in product(range(n), repeat=2):
-        counts[G.commutator(a, b)] += 1
-    return ClassMeasure(G, tuple(Fraction(c, n * n) for c in counts))
+    mul, inv = _tables(G, True)
+    a, b = np.divmod(np.arange(n * n), n)
+    # a b a^-1 b^-1 for every pair, multiplied left to right
+    return _law_of(G, mul[mul[mul[a * n + b] * n + inv[a]] * n + inv[b]])
+
+
+def _law_of(G: FiniteGroup, values: np.ndarray) -> ClassMeasure:
+    """The exact law of an element drawn uniformly from the given list."""
+    counts = np.bincount(values, minlength=G.n).tolist()
+    return ClassMeasure(G, tuple(Fraction(c, len(values)) for c in counts))
 
 
 def kappa_measure(G: FiniteGroup) -> ClassMeasure:
@@ -622,11 +619,8 @@ def kappa_measure(G: FiniteGroup) -> ClassMeasure:
 
 
 def _kappa_measure(G: FiniteGroup) -> ClassMeasure:
-    n = G.n
-    counts = [0] * n
-    for a in range(n):
-        counts[G.mul[a][a]] += 1
-    return ClassMeasure(G, tuple(Fraction(c, n) for c in counts))
+    mul = _tables(G, True)[0]
+    return _law_of(G, mul[np.arange(G.n) * (G.n + 1)])
 
 
 def fourier_coefficient(mu: ClassMeasure, alpha: int, ct: CharacterTable) -> complex:

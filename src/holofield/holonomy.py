@@ -14,6 +14,8 @@ import math
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from .groups import (
     ClassMeasure,
     ConjugacyClassTable,
@@ -28,6 +30,7 @@ from .groups import (
 from .levy import HeatKernel
 from .loops import (
     EdgeWord,
+    _product_blocks,
     holonomy_of_steps,
     spanning_tree,
     word_end,
@@ -40,7 +43,6 @@ __all__ = [
     "SymmetricClassFunction",
     "CapExceeded",
     "constrained_configurations",
-    "uniform_constrained_mass",
     "df_weight",
     "partition_graph",
     "measure_m",
@@ -94,43 +96,58 @@ class _GaugeFixed:
     holonomy runs uniformly over its class."""
 
     free: list[int]
-    # per cycle: steps before the forced edge, forced edge, reversed?
-    cycles: list[tuple[tuple[tuple[int, bool], ...], int, bool]]
+    # per cycle: the forced edge and the word giving its value, which
+    # reads the cycle's target holonomy from row n_darts + cycle index
+    forced: list[tuple[int, list[tuple[int, bool]]]]
     targets: list[list[int]]
     count: int
 
 
 def _gauge_fixed(G: FiniteGroup, m: RibbonMap, C: GConstraints,
-                 classes: ConjugacyClassTable) -> _GaugeFixed:
+                 classes: ConjugacyClassTable | None,
+                 cap: float = math.inf) -> _GaugeFixed:
     """The constrained uniform measure is invariant under gauges, which
     conjugate every cycle holonomy, and the gauges fixing any one vertex
     move each configuration to exactly one with the edges of a spanning
     tree at the identity. The tree avoids each cycle's forced edge:
     dropping one edge from each of edge-disjoint cycles leaves the graph
     connected."""
-    cycles, targets = [], []
-    for cyc, c in C.cycles_and_classes(m):
-        steps = word_steps(m, cyc)
-        cycles.append((steps[:-1],) + steps[-1])
+    if classes is None:
+        classes = conjugacy_classes(G)
+    forced, targets = [], []
+    for i, (cyc, c) in enumerate(C.cycles_and_classes(m)):
+        *head, (e, rev) = word_steps(m, cyc)
+        y = m.n_darts + i
+        # head * x_e = y, or head * x_e^-1 = y on a reversed last dart
+        forced.append((e, [(y, True)] + head if rev else
+                       [(f, not r) for f, r in reversed(head)] + [(y, False)]))
         targets.append(classes.elements_of(c))
-    forced = {e for _, e, _ in cycles}
-    tree = spanning_tree(m, forbidden=forced)
-    free = [e for e in m.edges() if e not in forced and e not in tree]
+    forced_edges = {e for e, _ in forced}
+    tree = spanning_tree(m, forbidden=forced_edges)
+    free = [e for e in m.edges() if e not in forced_edges and e not in tree]
     count = G.n ** len(free) * math.prod(len(t) for t in targets)
-    return _GaugeFixed(free, cycles, targets, count)
+    if count > cap:
+        raise CapExceeded(f"{count} configurations exceed the cap {cap}")
+    return _GaugeFixed(free, forced, targets, count)
 
 
-def _representatives(G: FiniteGroup, m: RibbonMap, fixed: _GaugeFixed):
-    weight = 1.0 / fixed.count
-    config = dict.fromkeys(m.edges(), 0)
-    for vals in itertools.product(range(G.n), repeat=len(fixed.free)):
-        config.update(zip(fixed.free, vals))
-        for ys in itertools.product(*fixed.targets):
-            for (head, e, rev), y in zip(fixed.cycles, ys):
-                # head * value(last dart) = y
-                val = G.mul[G.inv[holonomy_of_steps(G, head, config)]][y]
-                config[e] = G.inv[val] if rev else val
-            yield dict(config), weight
+def _configurations(G: FiniteGroup, m: RibbonMap, fixed: _GaugeFixed,
+                    extra=(), rows=None):
+    """Blocks of the gauge-fixed configurations in their product order, or
+    of the rows with the given indices: each an integer array whose row e
+    holds edge e's values (zero off the free and forced edges); rows
+    n_darts onward hold the cycle targets, then the letters of the extra
+    alphabets, enumerated innermost."""
+    k = len(fixed.free)
+    alphabets = [range(G.n)] * k + fixed.targets + list(extra)
+    for block in _product_blocks(alphabets, rows):
+        config = np.zeros((m.n_darts + len(block) - k, block.shape[1]),
+                          dtype=np.intp)
+        config[fixed.free] = block[:k]
+        config[m.n_darts:] = block[k:]
+        for e, word in fixed.forced:
+            config[e] = holonomy_of_steps(G, word, config)
+        yield config
 
 
 def constrained_configurations(G: FiniteGroup, m: RibbonMap, C: GConstraints,
@@ -145,23 +162,11 @@ def constrained_configurations(G: FiniteGroup, m: RibbonMap, C: GConstraints,
     The mixture reproduces the uniform measure only for functionals
     invariant under gauges that fix one vertex (any one): the face-weight
     product, and holonomies of loops all based at that vertex."""
-    fixed = _gauge_fixed(G, m, C, classes)
-    if fixed.count > cap:
-        raise CapExceeded(f"{fixed.count} configurations exceed the cap {cap}")
-    yield from _representatives(G, m, fixed)
-
-
-def uniform_constrained_mass(G: FiniteGroup, m: RibbonMap, C: GConstraints,
-                             f, classes: ConjugacyClassTable | None = None,
-                             cap: int = DEFAULT_CAP) -> float:
-    """Exact expectation of a configuration functional under the uniform
-    measure with constraints, summed over gauge-fixed representatives: f
-    must be gauge-invariant, or invariant under the gauges fixing one
-    vertex (a function of loops based there)."""
-    if classes is None:
-        classes = conjugacy_classes(G)
-    return sum(w * f(config)
-               for config, w in constrained_configurations(G, m, C, classes, cap))
+    fixed = _gauge_fixed(G, m, C, classes, cap)
+    edges = m.edges()
+    for config in _configurations(G, m, fixed):
+        for values in config[edges].T.tolist():
+            yield dict(zip(edges, values)), 1.0 / fixed.count
 
 
 def _face_words(m: RibbonMap, hk: HeatKernel):
@@ -173,21 +178,23 @@ def _face_words(m: RibbonMap, hk: HeatKernel):
         raise ValueError(
             "non-orientable maps need an inversion-invariant jump measure")
     return [(word_steps(m, [d for d, _ in cyc]),
-             hk.density(m.areas[i]).values)
+             np.array(hk.density(m.areas[i]).values))
             for i, cyc in enumerate(faces(m).cycles)]
 
 
-def _face_weight(G: FiniteGroup, words, config: dict[int, int]) -> float:
+def _face_weight(G: FiniteGroup, words, config):
+    """Product over faces of the heat kernel at the facial holonomy, for
+    one configuration or a block."""
     w = 1.0
     for steps, q in words:
-        w *= q[holonomy_of_steps(G, steps, config)]
+        w = w * q[holonomy_of_steps(G, steps, config)]
     return w
 
 
 def df_weight(G: FiniteGroup, m: RibbonMap, hk: HeatKernel,
               config: dict[int, int]) -> float:
     """Product over faces of the heat kernel at the facial holonomy."""
-    return _face_weight(G, _face_words(m, hk), config)
+    return float(_face_weight(G, _face_words(m, hk), config))
 
 
 def partition_graph(G: FiniteGroup, m: RibbonMap, C: GConstraints,
@@ -195,8 +202,11 @@ def partition_graph(G: FiniteGroup, m: RibbonMap, C: GConstraints,
     """Partition function over edge configurations:
     Z = E[prod_F Q_{t_F}(h(dF))] under the constrained uniform measure."""
     words = _face_words(m, hk)
-    return uniform_constrained_mass(
-        G, m, C, lambda cfg: _face_weight(G, words, cfg), classes, cap)
+    fixed = _gauge_fixed(G, m, C, classes, cap)
+    # one left-to-right float sum over every configuration, blocks included
+    return sum(itertools.chain.from_iterable(
+        (1.0 / fixed.count * _face_weight(G, words, config)).tolist()
+        for config in _configurations(G, m, fixed)))
 
 
 def _word_law(G: FiniteGroup, orientable: bool, genus: int) -> ClassMeasure:
@@ -316,6 +326,27 @@ def beta2(Z1: SymmetricClassFunction, Z2: SymmetricClassFunction) -> SymmetricCl
     return SymmetricClassFunction(G, classes, arity, out)
 
 
+def _tally(blocks) -> dict[tuple[int, ...], float]:
+    """Sum weights by key over (keys, weights) blocks, column j of keys
+    being row j's key. Each key's weights are added in row order, as a dict
+    updated row by row would add them: the sums of the keys seen so far
+    lead each block into bincount, which adds in input order."""
+    keys = sums = None
+    for k, w in blocks:
+        if keys is not None:
+            k, w = np.hstack([keys, k]), np.concatenate([sums, w])
+        # sort the columns and number each run of equal ones (the zero row
+        # serves keys with no entries)
+        order = np.lexsort([np.zeros(k.shape[1]), *k])
+        first = np.ones(k.shape[1], dtype=bool)
+        first[1:] = (np.diff(k[:, order]) != 0).any(axis=0)
+        ids = np.empty(k.shape[1], dtype=np.intp)
+        ids[order] = np.cumsum(first) - 1
+        keys, sums = k[:, order[first]], np.bincount(ids, weights=w)
+    return {} if keys is None else dict(
+        zip(map(tuple, keys.T.tolist()), sums.tolist()))
+
+
 def marginal_generators(G: FiniteGroup, m: RibbonMap, C: GConstraints,
                         gens: list[EdgeWord], hk: HeatKernel | None = None,
                         classes: ConjugacyClassTable | None = None,
@@ -328,28 +359,35 @@ def marginal_generators(G: FiniteGroup, m: RibbonMap, C: GConstraints,
     The configuration sum runs over gauge-fixed representatives with the
     first word's base as the fixed vertex; a word starting or ending
     elsewhere also gets averaged over the gauge at those vertices, which
-    costs a factor n per such vertex in the key computation only."""
-    if classes is None:
-        classes = conjugacy_classes(G)
+    multiplies the rows enumerated by n per such vertex."""
     words = _face_words(m, hk) if hk is not None else None
-    steps = [word_steps(m, g.darts) for g in gens]
+    fixed = _gauge_fixed(G, m, C, classes, cap)
+    # each configuration comes once per gauge j at the words' end vertices,
+    # with j = 1 at the first word's base: the last letters of the block; a
+    # word from a to b reads j(a) h j(b)^-1
     ends = [(g.base, word_end(m, g)) for g in gens]
-    root = gens[0].base if gens else 0
-    moving = sorted({v for pair in ends for v in pair} - {root})
-    gauges = [{root: 0, **dict(zip(moving, js))}
-              for js in itertools.product(range(G.n), repeat=len(moving))]
-    share = 1.0 / len(gauges)
-    pmf: dict[tuple[int, ...], float] = {}
+    at = sorted({v for pair in ends for v in pair})
+    row = {v: m.n_darts + len(fixed.targets) + i for i, v in enumerate(at)}
+    steps = [[(row[a], False), *word_steps(m, g.darts), (row[b], True)]
+             for g, (a, b) in zip(gens, ends)]
+    gauges = [[0] if v == gens[0].base else range(G.n) for v in at]
+    share = 1.0 / math.prod(len(j) for j in gauges)
     total = 0.0
-    for config, w in constrained_configurations(G, m, C, classes, cap):
-        if words is not None:
-            w = w * _face_weight(G, words, config)
-        hols = [holonomy_of_steps(G, s, config) for s in steps]
-        for j in gauges:
-            key = tuple(G.mul[G.mul[j[a]][h]][G.inv[j[b]]]
-                        for h, (a, b) in zip(hols, ends))
-            pmf[key] = pmf.get(key, 0.0) + w * share
-        total += w
+
+    def blocks():
+        nonlocal total
+        for config in _configurations(G, m, fixed, gauges):
+            w = np.full(config.shape[1], 1.0 / fixed.count)
+            if words is not None:
+                w = w * _face_weight(G, words, config)
+            # each configuration's weight counts once, at the identity gauge
+            once = ~config[len(config) - len(at):].any(axis=0)
+            for x in w[once].tolist():
+                total += x
+            keys = [holonomy_of_steps(G, s, config) for s in steps]
+            yield np.reshape(keys, (len(steps), len(w))), w * share
+
+    pmf = _tally(blocks())
     if normalize:
         pmf = {k: v / total for k, v in pmf.items()}
     return pmf, total
@@ -376,24 +414,27 @@ def sample_df(G: FiniteGroup, m: RibbonMap, C: GConstraints, hk: HeatKernel,
     by an independent uniform gauge so that it follows the full field law;
     otherwise seeded single-edge heat-bath sweeps (unconstrained maps
     only)."""
-    if classes is None:
-        classes = conjugacy_classes(G)
     rng = random.Random(seed)
     words = _face_words(m, hk)
     fixed = _gauge_fixed(G, m, C, classes)
     if fixed.count <= exact_limit:
-        configs = []
-        cumulative = []
-        acc = 0.0
-        for config, w in _representatives(G, m, fixed):
-            acc += w * _face_weight(G, words, config)
-            configs.append(config)
-            cumulative.append(acc)
-        out = []
-        for _ in range(count):
-            config = configs[bisect.bisect_left(cumulative, rng.random() * acc)]
-            j = {v: rng.randrange(G.n) for v in range(m.n_vertices)}
-            out.append(gauge_transform(G, m, config, j))
+        # the running sum of the weights, added in row order; the drawn
+        # rows are rebuilt from their indices
+        cumulative = np.concatenate([
+            1.0 / fixed.count * _face_weight(G, words, config)
+            for config in _configurations(G, m, fixed)])
+        np.cumsum(cumulative, out=cumulative)
+        draws = [(rng.random(), {v: rng.randrange(G.n)
+                                 for v in range(m.n_vertices)})
+                 for _ in range(count)]
+        rows = np.searchsorted(cumulative,
+                               [u * cumulative[-1] for u, _ in draws])
+        edges = m.edges()
+        drawn = (dict(zip(edges, values))
+                 for config in _configurations(G, m, fixed, rows=rows)
+                 for values in config[edges].T.tolist())
+        out = [gauge_transform(G, m, config, j)
+               for config, (_, j) in zip(drawn, draws)]
         return out if count > 1 else out[0]
     if C.boundary_classes or C.marks:
         raise CapExceeded(
@@ -402,25 +443,21 @@ def sample_df(G: FiniteGroup, m: RibbonMap, C: GConstraints, hk: HeatKernel,
 
 
 def _heat_bath(G: FiniteGroup, m: RibbonMap, words, rng, count, sweeps):
+    edges = m.edges()
     touching = {e: [(steps, q) for steps, q in words
                     if any(f == e for f, _ in steps)]
-                for e in m.edges()}
+                for e in edges}
+    state = np.zeros(m.n_darts, dtype=np.intp)
+    state[edges] = [rng.randrange(G.n) for _ in edges]
     out = []
-    config = {e: rng.randrange(G.n) for e in m.edges()}
     for _ in range(count):
         for _ in range(sweeps):
-            for e in m.edges():
-                weights = []
-                for x in range(G.n):
-                    config[e] = x
-                    weights.append(_face_weight(G, touching[e], config))
-                tot = sum(weights)
-                u = rng.random() * tot
-                acc = 0.0
-                for x, w in enumerate(weights):
-                    acc += w
-                    if u <= acc:
-                        config[e] = x
-                        break
-        out.append(dict(config))
+            for e in edges:
+                config = np.repeat(state[:, None], G.n, axis=1)
+                config[e] = np.arange(G.n)
+                weights = _face_weight(G, touching[e], config).tolist()
+                u = rng.random() * sum(weights)
+                state[e] = min(bisect.bisect_left(
+                    list(itertools.accumulate(weights)), u), G.n - 1)
+        out.append({e: int(state[e]) for e in edges})
     return out if count > 1 else out[0]

@@ -130,19 +130,14 @@ class AdmissibilityReport:
     generated_subgroup: frozenset[int]
     generates_group: bool
     inversion_invariant: bool
-    inversion_required: bool
 
     @property
     def admissible(self) -> bool:
-        ok = self.conjugation_invariant and self.generates_group
-        if self.inversion_required:
-            ok = ok and self.inversion_invariant
-        return ok
+        return self.conjugation_invariant and self.generates_group
 
 
 def check_admissible(
     pi: JumpMeasure,
-    require_inversion: bool = False,
     classes: ConjugacyClassTable | None = None,
 ) -> AdmissibilityReport:
     """Admissibility in the finite-group sense: the support of the jump
@@ -156,7 +151,6 @@ def check_admissible(
         generated_subgroup=H,
         generates_group=len(H) == G.n,
         inversion_invariant=pi.inversion_invariant,
-        inversion_required=require_inversion,
     )
 
 

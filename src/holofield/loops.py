@@ -6,11 +6,14 @@ per face, tied by a single relation w(a) c_1..c_p = l_1..l_f.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 
-from .groups import FiniteGroup
+import numpy as np
+
+from .groups import FiniteGroup, _tables
 from .surface import MapError, RibbonMap, faces
 
 __all__ = [
@@ -96,14 +99,39 @@ def word_steps(m: RibbonMap, darts) -> tuple[tuple[int, bool], ...]:
     return tuple((m.edge_of(d), d != m.edge_of(d)) for d in darts)
 
 
-def holonomy_of_steps(G: FiniteGroup, steps, config: dict[int, int]) -> int:
+def holonomy_of_steps(G: FiniteGroup, steps, config) -> int | np.ndarray:
     """Holonomy of a compiled word: the edge elements multiplied in
-    traversal order, inverted on reversed darts."""
+    traversal order, inverted on reversed darts. config maps each edge id
+    (or letter index) to a group element; or it is an integer array whose
+    row e holds edge e's values over a block of configurations, and the
+    holonomies of the whole block come back as one array."""
+    n = G.n
+    mul, inv = _tables(G, isinstance(config, np.ndarray))
     h = 0
     for e, rev in steps:
         x = config[e]
-        h = G.mul[h][G.inv[x] if rev else x]
+        h = mul[h * n + (inv[x] if rev else x)]
     return h
+
+
+# Rows per block of an enumerated product: every configuration or tuple sum
+# runs in blocks of this many rows, so its memory is bounded at any size.
+_BLOCK = 1 << 16
+
+
+def _product_blocks(alphabets, rows=None):
+    """The product of the alphabets in itertools.product order, or the rows
+    of it with the given indices, as integer arrays of shape
+    (letters, rows) with at most _BLOCK rows each."""
+    sizes = [len(a) for a in alphabets]
+    letters = [np.asarray(a, dtype=np.intp) for a in alphabets]
+    total = math.prod(sizes) if rows is None else len(rows)
+    for lo in range(0, total, _BLOCK):
+        hi = min(lo + _BLOCK, total)
+        index = np.arange(lo, hi) if rows is None else rows[lo:hi]
+        digits = np.unravel_index(index, sizes) if sizes else ()
+        yield np.array([a[i] for a, i in zip(letters, digits)],
+                       dtype=np.intp).reshape(len(sizes), hi - lo)
 
 
 def holonomy_of_word(G: FiniteGroup, m: RibbonMap, config: dict[int, int],
@@ -143,22 +171,10 @@ def spanning_tree(m: RibbonMap, forbidden: set[int] = frozenset()) -> frozenset[
     return frozenset(_grow_tree(m, [], allowed))
 
 
-def _face_of_framed(m: RibbonMap) -> dict[tuple[int, int], int]:
-    """Unoriented face index of every framed dart (both cycles of a pair)."""
-    fs = faces(m)
-    out = {}
-    for i, cyc in enumerate(fs.cycles):
-        for d, eps in cyc:
-            out[d, eps] = i
-            out[m.alpha[d], -eps] = i
-    return out
-
-
 def dual_spanning_tree(m: RibbonMap) -> frozenset[int]:
     """Spanning tree of the dual graph (faces joined across interior edges),
     grown from the face containing the lowest dart, in ascending edge order."""
     fs = faces(m)
-    home = _face_of_framed(m)
     bdarts = m.boundary_darts()
     comp = list(range(len(fs.cycles)))
 
@@ -172,8 +188,8 @@ def dual_spanning_tree(m: RibbonMap) -> frozenset[int]:
     for e in m.edges():
         if e in bdarts or m.alpha[e] in bdarts:
             continue
-        a = find(home[e, 1])
-        b = find(home[e, -1])
+        a = find(fs.home[e, 1])
+        b = find(fs.home[e, -1])
         if a != b:
             comp[a] = b
             tree.add(e)
@@ -329,7 +345,6 @@ def _label_cmp(u, v):
 def tame_generators(m: RibbonMap, base: int = 0) -> TameGenerators:
     fs = faces(m)
     nf = len(fs.cycles)
-    home = _face_of_framed(m)
     dual = dual_spanning_tree(m)
     bdarts = m.boundary_darts()
 
@@ -371,7 +386,6 @@ def tame_generators(m: RibbonMap, base: int = 0) -> TameGenerators:
 
     # adapted orientation of every face, grown from the root face 0
     oriented: dict[int, list[tuple[int, int]]] = {0: list(fs.cycles[0])}
-    parent_edge: dict[int, int] = {}
     children: dict[int, list[int]] = {i: [] for i in range(nf)}
     queue = [0]
     visited = {0}
@@ -381,21 +395,17 @@ def tame_generators(m: RibbonMap, base: int = 0) -> TameGenerators:
             e = m.edge_of(d)
             if e not in dual:
                 continue
-            other = home[m.alpha[d], eps]
+            # the face across the edge runs through the opposite dart:
+            # follow the facial permutation starting from it
+            across = m.twin(d, -eps)
+            other = fs.home[across]
             if other in visited:
                 continue
             visited.add(other)
-            parent_edge[other] = e
             children[u].append(other)
-            # the child traverses the opposite dart: follow the facial
-            # permutation starting from it
-            cyc = []
-            cur = (m.alpha[d], eps)
-            while True:
-                cyc.append(cur)
-                cur = m.phi(*cur)
-                if cur == cyc[0]:
-                    break
+            cyc = [across]
+            while m.phi(*cyc[-1]) != across:
+                cyc.append(m.phi(*cyc[-1]))
             oriented[other] = cyc
             queue.append(other)
     if len(visited) != nf:
@@ -548,14 +558,8 @@ def refine_generators(
         old_items = set(C)
         if any((d, e) in old_items for d, e in cyc):
             return cyc
-        rev = []
-        cur = (fine.alpha[cyc[0][0]], -cyc[0][1])
-        while True:
-            rev.append(cur)
-            cur = fine.phi(*cur)
-            if cur == rev[0]:
-                break
-        return rev
+        # the twins, read backwards, run the reversed cycle
+        return [fine.twin(*item) for item in reversed(cyc)]
 
     cyc_a, cyc_b = (oriented_fine(j) for j in news)
     pos = {it: k for k, it in enumerate(C)}
@@ -618,19 +622,13 @@ def _assemble_refined(tame, fine, split_position, C, cut, first,
         fine, l1, l2, inverse(fine, tame.l[split_position])))
     if check.darts:
         raise MapError("refined facial lassos do not multiply to the old one")
-    fs_fine = faces(fine)
-    def face_index(cyc):
-        items = set(cyc) | {(fine.alpha[d], -e) for d, e in cyc}
-        for j, c in enumerate(fs_fine.cycles):
-            if c[0] in items:
-                return j
-        raise MapError("sub-face not found")
+    home = faces(fine).home
     new_conj_first = reduce_word(fine, concat(fine, inverse(fine, x), s_i))
     l_list = list(tame.l)
     l_list[split_position:split_position + 1] = [l1, l2]
     faces_list = list(tame.face_of_l)
     faces_list[split_position:split_position + 1] = [
-        face_index(first), face_index(second)]
+        home[first[0]], home[second[0]]]
     cycles = list(tame.cycles)
     cycles[split_position:split_position + 1] = [tuple(first), tuple(second)]
     conjs = list(tame.conj)

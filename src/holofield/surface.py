@@ -203,6 +203,12 @@ class RibbonMap:
         s = self.lam[d] * eps
         return self.sigma_power(self.alpha[d], -s), s
 
+    def twin(self, d: int, eps: int) -> tuple[int, int]:
+        """The framed dart running the same edge side the other way: the
+        facial permutation runs a face's reversed cycle through the twins
+        of its darts. The face across the edge holds twin(d, -eps)."""
+        return self.alpha[d], -self.lam[d] * eps
+
     def with_areas(self, areas) -> "RibbonMap":
         areas = tuple(float(a) for a in areas)
         if len(areas) != len(faces(self).cycles):
@@ -220,24 +226,11 @@ def _framed_key(item: tuple[int, int]) -> tuple[int, int]:
 @dataclass(frozen=True)
 class FaceSet:
     """Interior faces as framed dart cycles, one representative per face
-    (the orientation-reversed twin is dropped), in a deterministic order."""
+    (the orientation-reversed twin is dropped), in a deterministic order;
+    home gives the face of every framed dart in either orientation."""
 
     cycles: tuple[tuple[tuple[int, int], ...], ...]
-
-    def index_of(self, d: int, eps: int | None = None) -> int:
-        for i, cyc in enumerate(self.cycles):
-            for e, s in cyc:
-                if e == d and (eps is None or s == eps):
-                    return i
-        raise MapError(f"dart {d} not found in any face representative")
-
-    def word(self, i: int, m: RibbonMap) -> list[int]:
-        """Face boundary as signed edge ids (edge+1 forward, -(edge+1) back)."""
-        out = []
-        for d, _ in self.cycles[i]:
-            e = m.edge_of(d)
-            out.append(e + 1 if d <= m.alpha[d] else -(e + 1))
-        return out
+    home: dict[tuple[int, int], int] = field(compare=False, repr=False)
 
 
 def _vertex_signs(m: RibbonMap) -> list[int] | None:
@@ -283,10 +276,6 @@ def faces(m: RibbonMap) -> FaceSet:
                 raise MapError("framed permutation escaped the framing set")
         cycles.append(cyc)
     # pair each cycle with its orientation reversal and keep one of the two
-    def rev_key(cyc):
-        d, eps = cyc[0]
-        return (m.alpha[d], -m.lam[d] * eps)
-
     index_of = {}
     for i, cyc in enumerate(cycles):
         for item in cyc:
@@ -297,7 +286,7 @@ def faces(m: RibbonMap) -> FaceSet:
     for i, cyc in enumerate(cycles):
         if i in used:
             continue
-        j = index_of[rev_key(cyc)]
+        j = index_of[m.twin(*cyc[0])]
         if j == i:
             raise MapError("facial cycle equals its own reversal")
         used.update((i, j))
@@ -311,9 +300,11 @@ def faces(m: RibbonMap) -> FaceSet:
             b = min(cycles[j], key=_framed_key)
             pick = cyc if _framed_key(a) <= _framed_key(b) else cycles[j]
         k = pick.index(min(pick, key=_framed_key))
-        reps.append(tuple(pick[k:] + pick[:k]))
-    reps.sort(key=lambda c: _framed_key(c[0]))
-    fs = FaceSet(tuple(reps))
+        reps.append((tuple(pick[k:] + pick[:k]), i, j))
+    reps.sort(key=lambda rep: _framed_key(rep[0][0]))
+    face_of = {c: f for f, (_, i, j) in enumerate(reps) for c in (i, j)}
+    fs = FaceSet(tuple(rep for rep, _, _ in reps),
+                 {item: face_of[c] for item, c in index_of.items()})
     m._derived["faces"] = fs
     return fs
 
@@ -449,11 +440,7 @@ def _transfer_areas(old: RibbonMap, new: RibbonMap, containment: dict[int, int],
 def _containment_by_darts(old: RibbonMap, new: RibbonMap) -> dict[int, int]:
     """Match each new face to the old face sharing a dart (for refinements
     that only insert darts)."""
-    old_home = {}
-    for i, cyc in enumerate(faces(old).cycles):
-        for d, eps in cyc:
-            old_home[d, eps] = i
-            old_home[old.alpha[d], -eps] = i
+    old_home = faces(old).home
     out = {}
     for j, cyc in enumerate(faces(new).cycles):
         homes = {old_home[item] for item in cyc if item in old_home}
@@ -534,24 +521,12 @@ def split_face(
     fs_new = faces(new)
     if len(fs_new.cycles) != len(fs.cycles) + 1:
         raise MapError("face split did not add exactly one face")
-    cont = {}
-    old_home = {}
-    for i, c in enumerate(fs.cycles):
-        for d, eps in c:
-            old_home[d, eps] = i
-            old_home[m.alpha[d], -eps] = i
+    cont = _containment_by_darts(m, new)
     sub = {}
     for j, c in enumerate(fs_new.cycles):
-        homes = {old_home[item] for item in c if item[0] < m.n_darts}
-        if len(homes) != 1:
-            raise MapError("face split produced an unmatchable face")
-        cont[j] = homes.pop()
         if cont[j] == face:
             if sub_areas is not None:
-                darts = {item for item in c} | {(new.alpha[d], -e)
-                                                for d, e in c}
-                # distinct faces have disjoint twin-closed dart sets
-                sub[j] = sub_areas[0] if cyc[corner_i] in darts \
+                sub[j] = sub_areas[0] if fs_new.home[cyc[corner_i]] == j \
                     else sub_areas[1]
             elif m.areas is not None:
                 # no explicit sub-areas: split proportionally to perimeter
