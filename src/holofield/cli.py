@@ -359,11 +359,10 @@ def _suite_surgery(cfg, G, classes, pi, t):
     zp02 = z_function(G, True, 0, 2, t, hk, classes)
     cases.append(_case("beta1(Z+_{2,0}) = Z+_{0,2}", beta1(zp20)(), zp02(),
                        cfg.tol))
-    za = z_function(G, True, 1, 0, 0.5 * t, hk, classes)
-    zb = z_function(G, True, 1, 0, 0.5 * t, hk, classes)
+    zhalf = z_function(G, True, 1, 0, 0.5 * t, hk, classes)
     zc = z_function(G, True, 0, 0, t, hk, classes)
     cases.append(_case("beta2(Z+_{1,0} (x) Z+_{1,0}) = Z+_{0,0}",
-                       beta2(za, zb)(), zc(), cfg.tol))
+                       beta2(zhalf, zhalf)(), zc(), cfg.tol))
     return cases
 
 
@@ -428,6 +427,7 @@ def _suite_holo_mono(cfg, G, classes, pi, t):
 
 
 def _suite_counting(cfg, G, classes, pi, t):
+    hk = HeatKernel(pi, character_table(G))
     cases = []
     for name, spec in (("sphere", SurfaceSpec(True, 0, 0, t)),
                        ("torus", SurfaceSpec(True, 2, 0, t))):
@@ -438,7 +438,6 @@ def _suite_counting(cfg, G, classes, pi, t):
                           "lhs": float(lhs), "rhs": float(rhs),
                           "max_abs_diff": float(abs(lhs - rhs)),
                           "pass": lhs == rhs})
-        hk = HeatKernel(pi, character_table(G))
         cases.append(_case(f"{name} bb_mass = partition",
                            bb_mass(G, spec, pi, classes=classes,
                                    tail_tol=cfg.tail_tol),

@@ -212,7 +212,7 @@ def conjugation_orbits(G: FiniteGroup,
             continue
         orbit = []
         for g in range(G.n):
-            j = index[t.conjugate(g).entries()]
+            j = index[tuple(G.conj(g, x) for x in t.entries())]
             if not seen[j]:
                 seen[j] = True
                 orbit.append(tuples[j])
@@ -365,8 +365,7 @@ def _boundary_classes_for(tame: TameGenerators, C: GConstraints,
 def monodromy_marginal(G: FiniteGroup, m: RibbonMap, tame: TameGenerators,
                        pi: JumpMeasure, C: GConstraints | None = None,
                        classes: ConjugacyClassTable | None = None,
-                       tail_tol: float = DEFAULT_TAIL_TOL,
-                       normalize: bool = False):
+                       tail_tol: float = DEFAULT_TAIL_TOL):
     """Joint law of the tame-generator monodromies under the weighted
     bundle measure, built face by face from Poisson-averaged convolution
     powers of the jump measure. No heat kernel and no characters enter;
@@ -408,8 +407,6 @@ def monodromy_marginal(G: FiniteGroup, m: RibbonMap, tame: TameGenerators,
         pmf.update(zip(map(tuple, rows.T.tolist()), vals))
         for v in vals:
             total += v
-    if normalize:
-        pmf = {k: v / total for k, v in pmf.items()}
     return pmf, total
 
 

@@ -8,7 +8,6 @@ holonomies.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 import random
@@ -131,13 +130,31 @@ def _gauge_fixed(G: FiniteGroup, m: RibbonMap, C: GConstraints,
     return _GaugeFixed(free, forced, targets, count)
 
 
-def _configurations(G: FiniteGroup, m: RibbonMap, fixed: _GaugeFixed,
-                    extra=(), rows=None):
+def _face_words(m: RibbonMap, hk: HeatKernel):
+    """Each face's boundary word compiled to steps, with the heat kernel at
+    the face's area; areas and orientability are checked once."""
+    if m.areas is None:
+        raise ValueError("face areas are not assigned")
+    if not is_orientable(m) and not hk.pi.inversion_invariant:
+        raise ValueError(
+            "non-orientable maps need an inversion-invariant jump measure")
+    return [(word_steps(m, [d for d, _ in cyc]),
+             np.array(hk.density(m.areas[i]).values))
+            for i, cyc in enumerate(faces(m).cycles)]
+
+
+def _weighted(G: FiniteGroup, m: RibbonMap, C: GConstraints,
+              hk: HeatKernel | None, classes: ConjugacyClassTable | None,
+              cap: float, extra=(), rows=None):
     """Blocks of the gauge-fixed configurations in their product order, or
-    of the rows with the given indices: each an integer array whose row e
+    of the rows with the given indices, each with its row weights: 1/count,
+    times the product over faces of the heat kernel at the facial holonomy
+    when a heat kernel is given. A block is an integer array whose row e
     holds edge e's values (zero off the free and forced edges); rows
     n_darts onward hold the cycle targets, then the letters of the extra
     alphabets, enumerated innermost."""
+    words = _face_words(m, hk) if hk is not None else []
+    fixed = _gauge_fixed(G, m, C, classes, cap)
     k = len(fixed.free)
     alphabets = [range(G.n)] * k + fixed.targets + list(extra)
     for block in _product_blocks(alphabets, rows):
@@ -147,7 +164,10 @@ def _configurations(G: FiniteGroup, m: RibbonMap, fixed: _GaugeFixed,
         config[m.n_darts:] = block[k:]
         for e, word in fixed.forced:
             config[e] = holonomy_of_steps(G, word, config)
-        yield config
+        w = np.ones(block.shape[1])
+        for steps, q in words:
+            w = w * q[holonomy_of_steps(G, steps, config)]
+        yield config, 1.0 / fixed.count * w
 
 
 def constrained_configurations(G: FiniteGroup, m: RibbonMap, C: GConstraints,
@@ -162,51 +182,26 @@ def constrained_configurations(G: FiniteGroup, m: RibbonMap, C: GConstraints,
     The mixture reproduces the uniform measure only for functionals
     invariant under gauges that fix one vertex (any one): the face-weight
     product, and holonomies of loops all based at that vertex."""
-    fixed = _gauge_fixed(G, m, C, classes, cap)
     edges = m.edges()
-    for config in _configurations(G, m, fixed):
-        for values in config[edges].T.tolist():
-            yield dict(zip(edges, values)), 1.0 / fixed.count
-
-
-def _face_words(m: RibbonMap, hk: HeatKernel):
-    """Each face's boundary word compiled to steps, with the heat kernel at
-    the face's area; areas and orientability are checked once."""
-    if m.areas is None:
-        raise ValueError("face areas are not assigned")
-    if not is_orientable(m) and not hk.pi.inversion_invariant:
-        raise ValueError(
-            "non-orientable maps need an inversion-invariant jump measure")
-    return [(word_steps(m, [d for d, _ in cyc]),
-             np.array(hk.density(m.areas[i]).values))
-            for i, cyc in enumerate(faces(m).cycles)]
-
-
-def _face_weight(G: FiniteGroup, words, config):
-    """Product over faces of the heat kernel at the facial holonomy, for
-    one configuration or a block."""
-    w = 1.0
-    for steps, q in words:
-        w = w * q[holonomy_of_steps(G, steps, config)]
-    return w
+    for config, w in _weighted(G, m, C, None, classes, cap):
+        for values, x in zip(config[edges].T.tolist(), w.tolist()):
+            yield dict(zip(edges, values)), x
 
 
 def df_weight(G: FiniteGroup, m: RibbonMap, hk: HeatKernel,
               config: dict[int, int]) -> float:
     """Product over faces of the heat kernel at the facial holonomy."""
-    return float(_face_weight(G, _face_words(m, hk), config))
+    return float(math.prod(q[holonomy_of_steps(G, steps, config)]
+                           for steps, q in _face_words(m, hk)))
 
 
 def partition_graph(G: FiniteGroup, m: RibbonMap, C: GConstraints,
                     hk: HeatKernel, classes=None, cap: int = DEFAULT_CAP) -> float:
     """Partition function over edge configurations:
     Z = E[prod_F Q_{t_F}(h(dF))] under the constrained uniform measure."""
-    words = _face_words(m, hk)
-    fixed = _gauge_fixed(G, m, C, classes, cap)
     # one left-to-right float sum over every configuration, blocks included
     return sum(itertools.chain.from_iterable(
-        (1.0 / fixed.count * _face_weight(G, words, config)).tolist()
-        for config in _configurations(G, m, fixed)))
+        w.tolist() for _, w in _weighted(G, m, C, hk, classes, cap)))
 
 
 def _word_law(G: FiniteGroup, orientable: bool, genus: int) -> ClassMeasure:
@@ -350,8 +345,7 @@ def _tally(blocks) -> dict[tuple[int, ...], float]:
 def marginal_generators(G: FiniteGroup, m: RibbonMap, C: GConstraints,
                         gens: list[EdgeWord], hk: HeatKernel | None = None,
                         classes: ConjugacyClassTable | None = None,
-                        cap: int = DEFAULT_CAP,
-                        normalize: bool = False):
+                        cap: int = DEFAULT_CAP):
     """Exact joint pmf of the holonomies of the given words under the
     constrained uniform measure, weighted by the field density when a heat
     kernel is supplied. Returns (pmf dict, total mass).
@@ -360,14 +354,12 @@ def marginal_generators(G: FiniteGroup, m: RibbonMap, C: GConstraints,
     first word's base as the fixed vertex; a word starting or ending
     elsewhere also gets averaged over the gauge at those vertices, which
     multiplies the rows enumerated by n per such vertex."""
-    words = _face_words(m, hk) if hk is not None else None
-    fixed = _gauge_fixed(G, m, C, classes, cap)
     # each configuration comes once per gauge j at the words' end vertices,
-    # with j = 1 at the first word's base: the last letters of the block; a
+    # with j = 1 at the first word's base: the last rows of each block; a
     # word from a to b reads j(a) h j(b)^-1
     ends = [(g.base, word_end(m, g)) for g in gens]
     at = sorted({v for pair in ends for v in pair})
-    row = {v: m.n_darts + len(fixed.targets) + i for i, v in enumerate(at)}
+    row = {v: i - len(at) for i, v in enumerate(at)}
     steps = [[(row[a], False), *word_steps(m, g.darts), (row[b], True)]
              for g, (a, b) in zip(gens, ends)]
     gauges = [[0] if v == gens[0].base else range(G.n) for v in at]
@@ -376,21 +368,15 @@ def marginal_generators(G: FiniteGroup, m: RibbonMap, C: GConstraints,
 
     def blocks():
         nonlocal total
-        for config in _configurations(G, m, fixed, gauges):
-            w = np.full(config.shape[1], 1.0 / fixed.count)
-            if words is not None:
-                w = w * _face_weight(G, words, config)
+        for config, w in _weighted(G, m, C, hk, classes, cap, gauges):
             # each configuration's weight counts once, at the identity gauge
-            once = ~config[len(config) - len(at):].any(axis=0)
+            once = ~config[-len(at):].any(axis=0)
             for x in w[once].tolist():
                 total += x
             keys = [holonomy_of_steps(G, s, config) for s in steps]
             yield np.reshape(keys, (len(steps), len(w))), w * share
 
-    pmf = _tally(blocks())
-    if normalize:
-        pmf = {k: v / total for k, v in pmf.items()}
-    return pmf, total
+    return _tally(blocks()), total
 
 
 def gauge_transform(G: FiniteGroup, m: RibbonMap, config: dict[int, int],
@@ -408,56 +394,24 @@ def gauge_transform(G: FiniteGroup, m: RibbonMap, config: dict[int, int],
 def sample_df(G: FiniteGroup, m: RibbonMap, C: GConstraints, hk: HeatKernel,
               seed: int, count: int = 1,
               classes: ConjugacyClassTable | None = None,
-              exact_limit: int = 10 ** 6, sweeps: int = 50):
-    """Samples from the field measure: exact categorical sampling when the
-    gauge-fixed configuration count is at most exact_limit, each draw moved
-    by an independent uniform gauge so that it follows the full field law;
-    otherwise seeded single-edge heat-bath sweeps (unconstrained maps
-    only)."""
+              cap: int = DEFAULT_CAP):
+    """Exact samples from the field measure: categorical sampling over the
+    gauge-fixed configurations, at most cap of them, each draw moved by an
+    independent uniform gauge so that it follows the full field law."""
     rng = random.Random(seed)
-    words = _face_words(m, hk)
-    fixed = _gauge_fixed(G, m, C, classes)
-    if fixed.count <= exact_limit:
-        # the running sum of the weights, added in row order; the drawn
-        # rows are rebuilt from their indices
-        cumulative = np.concatenate([
-            1.0 / fixed.count * _face_weight(G, words, config)
-            for config in _configurations(G, m, fixed)])
-        np.cumsum(cumulative, out=cumulative)
-        draws = [(rng.random(), {v: rng.randrange(G.n)
-                                 for v in range(m.n_vertices)})
-                 for _ in range(count)]
-        rows = np.searchsorted(cumulative,
-                               [u * cumulative[-1] for u, _ in draws])
-        edges = m.edges()
-        drawn = (dict(zip(edges, values))
-                 for config in _configurations(G, m, fixed, rows=rows)
-                 for values in config[edges].T.tolist())
-        out = [gauge_transform(G, m, config, j)
-               for config, (_, j) in zip(drawn, draws)]
-        return out if count > 1 else out[0]
-    if C.boundary_classes or C.marks:
-        raise CapExceeded(
-            "heat-bath sampling supports unconstrained maps only")
-    return _heat_bath(G, m, words, rng, count, sweeps)
-
-
-def _heat_bath(G: FiniteGroup, m: RibbonMap, words, rng, count, sweeps):
+    # the running sum of the weights, added in row order; the drawn rows
+    # are rebuilt from their indices
+    cumulative = np.concatenate(
+        [w for _, w in _weighted(G, m, C, hk, classes, cap)])
+    np.cumsum(cumulative, out=cumulative)
+    draws = [(rng.random(), {v: rng.randrange(G.n)
+                             for v in range(m.n_vertices)})
+             for _ in range(count)]
+    rows = np.searchsorted(cumulative, [u * cumulative[-1] for u, _ in draws])
     edges = m.edges()
-    touching = {e: [(steps, q) for steps, q in words
-                    if any(f == e for f, _ in steps)]
-                for e in edges}
-    state = np.zeros(m.n_darts, dtype=np.intp)
-    state[edges] = [rng.randrange(G.n) for _ in edges]
-    out = []
-    for _ in range(count):
-        for _ in range(sweeps):
-            for e in edges:
-                config = np.repeat(state[:, None], G.n, axis=1)
-                config[e] = np.arange(G.n)
-                weights = _face_weight(G, touching[e], config).tolist()
-                u = rng.random() * sum(weights)
-                state[e] = min(bisect.bisect_left(
-                    list(itertools.accumulate(weights)), u), G.n - 1)
-        out.append({e: int(state[e]) for e in edges})
+    drawn = (dict(zip(edges, values))
+             for config, _ in _weighted(G, m, C, None, classes, cap, rows=rows)
+             for values in config[edges].T.tolist())
+    out = [gauge_transform(G, m, config, j)
+           for config, (_, j) in zip(drawn, draws)]
     return out if count > 1 else out[0]

@@ -229,8 +229,7 @@ def test_sample_df_exact_matches_pmf():
     G, hk = make_hk("Z3")
     m = torus_map()
     C = GConstraints()
-    pmf, total = marginal_generators(
-        G, m, C, tame_generators(m).a, hk, normalize=True)
+    pmf, total = marginal_generators(G, m, C, tame_generators(m).a, hk)
     draws = sample_df(G, m, C, hk, seed=17, count=4000)
     tame = tame_generators(m)
     counts = Counter()
@@ -238,7 +237,7 @@ def test_sample_df_exact_matches_pmf():
         counts[tuple(holonomy_of_word(G, m, config, w)
                      for w in tame.a)] += 1
     for key, p in pmf.items():
-        assert counts[key] / 4000 == pytest.approx(p, abs=0.03)
+        assert counts[key] / 4000 == pytest.approx(p / total, abs=0.03)
 
 
 def test_constrained_cap_raises():
@@ -357,11 +356,10 @@ def test_marked_cycle_holonomy_lies_in_its_class():
     field = brute_field(G, m, C, hk)
     assert partition_graph(G, m, C, hk) == pytest.approx(
         sum(w for _, w in field), abs=1e-12)
-    pmf, _ = marginal_generators(G, m, C, [EdgeWord(0, mark)],
-                                 normalize=True)
+    pmf, total = marginal_generators(G, m, C, [EdgeWord(0, mark)])
     assert {classes.class_of[h] for (h,) in pmf} == {2}
     for (h,), p in pmf.items():
-        assert p == pytest.approx(1 / classes.sizes[2], abs=1e-12)
+        assert p / total == pytest.approx(1 / classes.sizes[2], abs=1e-12)
 
 
 def test_marginal_words_at_two_bases_match_brute_force():
@@ -418,19 +416,34 @@ def test_sample_df_gauge_dependent_edge_law():
 
 
 def test_sample_df_exact_path_follows_gauge_fixed_count():
-    """6^6 raw configurations but 18 representatives: exact sampling, which
-    keeps the boundary constraints, not the unconstrained heat bath."""
+    """6^6 raw configurations but 18 representatives: exact sampling under
+    a cap of 100, and every draw keeps the boundary constraints."""
     G, hk = make_hk("S3")
     spec = SurfaceSpec(True, 0, 3, 1.0, (1, 1, 2))
     m = standard_map(spec)
     C = GConstraints(boundary_classes=spec.constraints)
     classes = conjugacy_classes(G)
-    draws = sample_df(G, m, C, hk, seed=3, count=20, exact_limit=100)
+    draws = sample_df(G, m, C, hk, seed=3, count=20, cap=100)
     for config in draws:
         for circ, c in zip(m.boundary, spec.constraints):
             h = holonomy_of_word(G, m, config, EdgeWord(m.vertex_of(circ[0]),
                                                         circ))
             assert classes.class_of[h] == c
+
+
+@pytest.mark.parametrize("spec,count", [
+    (SurfaceSpec(True, 2, 0, 1.0), 36),
+    (SurfaceSpec(True, 0, 3, 1.0, (1, 1, 2)), 18),
+], ids=["torus", "pair of pants"])
+def test_sample_df_cap_bounds_gauge_fixed_count(spec, count):
+    """The cap counts gauge-fixed configurations, n^(E - V + 1 - #cycles)
+    prod |C_i|, on unconstrained and constrained maps alike."""
+    G, hk = make_hk("S3")
+    m = standard_map(spec)
+    C = GConstraints(spec.constraints)
+    sample_df(G, m, C, hk, seed=1, cap=count)
+    with pytest.raises(CapExceeded):
+        sample_df(G, m, C, hk, seed=1, cap=count - 1)
 
 
 SPLIT_SPECS = [
