@@ -394,7 +394,6 @@ def monodromy_marginal(G: FiniteGroup, m: RibbonMap, tame: TameGenerators,
     last_word = [(i, -1) for i in range(g + p + f - 2, g + p - 1, -1)]
     last_word += tame.w + [(g + i, 1) for i in range(p)]
     pmf: dict[tuple[int, ...], float] = {}
-    total = 0.0
     for block in _product_blocks([range(G.n)] * g + orbits
                                  + [range(G.n)] * (f - 1)):
         z_last = evaluate_word(G, last_word, block)
@@ -403,11 +402,8 @@ def monodromy_marginal(G: FiniteGroup, m: RibbonMap, tame: TameGenerators,
         for z, fp in zip(rows[g + p:], face_pmf):
             val = val * fp[z]
         # (a, c, z_1 .. z_{f-1}) fixes the row, so every key is new
-        vals = val.tolist()
-        pmf.update(zip(map(tuple, rows.T.tolist()), vals))
-        for v in vals:
-            total += v
-    return pmf, total
+        pmf.update(zip(map(tuple, rows.T.tolist()), val.tolist()))
+    return pmf, math.fsum(pmf.values())
 
 
 @dataclass

@@ -199,8 +199,7 @@ def partition_graph(G: FiniteGroup, m: RibbonMap, C: GConstraints,
                     hk: HeatKernel, classes=None, cap: int = DEFAULT_CAP) -> float:
     """Partition function over edge configurations:
     Z = E[prod_F Q_{t_F}(h(dF))] under the constrained uniform measure."""
-    # one left-to-right float sum over every configuration, blocks included
-    return sum(itertools.chain.from_iterable(
+    return math.fsum(itertools.chain.from_iterable(
         w.tolist() for _, w in _weighted(G, m, C, hk, classes, cap)))
 
 
@@ -364,19 +363,14 @@ def marginal_generators(G: FiniteGroup, m: RibbonMap, C: GConstraints,
              for g, (a, b) in zip(gens, ends)]
     gauges = [[0] if v == gens[0].base else range(G.n) for v in at]
     share = 1.0 / math.prod(len(j) for j in gauges)
-    total = 0.0
 
     def blocks():
-        nonlocal total
         for config, w in _weighted(G, m, C, hk, classes, cap, gauges):
-            # each configuration's weight counts once, at the identity gauge
-            once = ~config[-len(at):].any(axis=0)
-            for x in w[once].tolist():
-                total += x
             keys = [holonomy_of_steps(G, s, config) for s in steps]
             yield np.reshape(keys, (len(steps), len(w))), w * share
 
-    return _tally(blocks()), total
+    pmf = _tally(blocks())
+    return pmf, math.fsum(pmf.values())
 
 
 def gauge_transform(G: FiniteGroup, m: RibbonMap, config: dict[int, int],

@@ -126,10 +126,9 @@ def test_sums_across_block_seams():
     count = _gauge_fixed(G, m, C, classes).count
     assert count == 279_936 and count > 2 * loops._BLOCK
     zg = partition_graph(G, m, C, HK)
-    # the terms are added left to right, as before blocks existed; over
-    # 279,936 of them that order drifts 2.4e-12 from the formula, while an
-    # exact sum of the same terms lands within 2e-15
-    assert zg == pytest.approx(partition_formula(G, spec, HK), abs=1e-11)
+    # the 279,936 terms are summed with exact rounding (math.fsum), which
+    # lands 1.2e-15 from the formula; a left-to-right sum drifted 2.4e-12
+    assert zg == pytest.approx(partition_formula(G, spec, HK), abs=1e-12)
     _, total = marginal_generators(G, m, C, free_basis(m, 0)[:2], HK)
     assert total == pytest.approx(zg, abs=1e-12)
     for config in sample_df(G, m, C, HK, seed=5, count=4):
