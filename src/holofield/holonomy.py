@@ -130,22 +130,9 @@ def _gauge_fixed(G: FiniteGroup, m: RibbonMap, C: GConstraints,
     return _GaugeFixed(free, forced, targets, count)
 
 
-def _face_words(m: RibbonMap, hk: HeatKernel):
-    """Each face's boundary word compiled to steps, with the heat kernel at
-    the face's area; areas and orientability are checked once."""
-    if m.areas is None:
-        raise ValueError("face areas are not assigned")
-    if not is_orientable(m) and not hk.pi.inversion_invariant:
-        raise ValueError(
-            "non-orientable maps need an inversion-invariant jump measure")
-    return [(word_steps(m, [d for d, _ in cyc]),
-             np.array(hk.density(m.areas[i]).values))
-            for i, cyc in enumerate(faces(m).cycles)]
-
-
 def _weighted(G: FiniteGroup, m: RibbonMap, C: GConstraints,
               hk: HeatKernel | None, classes: ConjugacyClassTable | None,
-              cap: float, extra=(), rows=None):
+              cap: int, extra=(), rows=None):
     """Blocks of the gauge-fixed configurations in their product order, or
     of the rows with the given indices, each with its row weights: 1/count,
     times the product over faces of the heat kernel at the facial holonomy
@@ -186,6 +173,19 @@ def constrained_configurations(G: FiniteGroup, m: RibbonMap, C: GConstraints,
     for config, w in _weighted(G, m, C, None, classes, cap):
         for values, x in zip(config[edges].T.tolist(), w.tolist()):
             yield dict(zip(edges, values)), x
+
+
+def _face_words(m: RibbonMap, hk: HeatKernel):
+    """Each face's boundary word compiled to steps, with the heat kernel at
+    the face's area; areas and orientability are checked once."""
+    if m.areas is None:
+        raise ValueError("face areas are not assigned")
+    if not is_orientable(m) and not hk.pi.inversion_invariant:
+        raise ValueError(
+            "non-orientable maps need an inversion-invariant jump measure")
+    return [(word_steps(m, [d for d, _ in cyc]),
+             np.array(hk.density(m.areas[i]).values))
+            for i, cyc in enumerate(faces(m).cycles)]
 
 
 def df_weight(G: FiniteGroup, m: RibbonMap, hk: HeatKernel,
