@@ -120,16 +120,6 @@ class MonodromyTuple:
                                 len(self.c) + len(self.d))
         return holonomy_of_steps(self.group, steps, self.entries())
 
-    def conjugate(self, g: int) -> "MonodromyTuple":
-        G = self.group
-        gi = G.inv[g]
-        cj = lambda x: G.mul[G.mul[g][x]][gi]
-        return MonodromyTuple(G, self.orientable, self.genus,
-                              self.boundary_classes,
-                              tuple(cj(x) for x in self.a),
-                              tuple(cj(x) for x in self.c),
-                              tuple(cj(x) for x in self.d))
-
 
 @dataclass(frozen=True)
 class RamificationCounts:
@@ -234,8 +224,9 @@ def counting_check(G: FiniteGroup, spec: SurfaceSpec, k: int, f,
         val = Fraction(f(rep))
         if any(Fraction(f(t)) != val for t in orbit[1:]):
             raise ValueError("functional is not conjugation-invariant")
-        lhs += val / aut_order(rep)
-        if len(orbit) * aut_order(rep) != G.n:
+        aut = aut_order(rep)
+        lhs += val / aut
+        if len(orbit) * aut != G.n:
             raise ValueError("orbit size inconsistent with automorphisms")
     rhs = sum((Fraction(f(t)) for t in tuples), Fraction(0)) / G.n
     return lhs, rhs
@@ -300,11 +291,14 @@ def bb_mass(G: FiniteGroup, spec: SurfaceSpec, pi: JumpMeasure,
     if t is None:
         t = spec.area
     mu = measure_m(G, spec, classes)
-    # sum_k P(N = k) twist_mass_contraction(k): the prefactor times the
-    # contraction's scale is n, and n sum_k P(N = k) Pi_1^{*k} is the
-    # series heat kernel
+    # Z = sum_x Q_t(x) m({x}), with Q_t = n sum_k P(N = k) Pi_1^{*k} the
+    # series heat kernel.  Term by term this is sum_k P(N = k)
+    # twist_mass_contraction(k) on the surface with every boundary class
+    # inverted, since the twists close (w(a) c_1..c_p)^-1 (as
+    # _boundary_classes_for inverts classes on maps); the prefactor times
+    # the contraction's scale is n
     q = heat_kernel_series(pi, t, tail_tol).values
-    return float(sum(float(w) * q[G.inv[x]] for x, w in enumerate(mu.weights)))
+    return float(sum(float(w) * q[x] for x, w in enumerate(mu.weights)))
 
 
 def sample_covering(G: FiniteGroup, spec: SurfaceSpec, pi: JumpMeasure,

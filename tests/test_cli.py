@@ -103,10 +103,13 @@ def test_verify_on_nonorientable_surface(files, capsys):
 
 
 def test_verify_with_boundary(files, capsys):
+    """The verify suites run fixed surfaces; the holo-mono check on a
+    surface file, boundary constraint included, is cover verify-holo-mono."""
     code, doc = run_json(capsys, [
-        "verify", "holo-mono", "--group", files["s3"],
+        "cover", "verify-holo-mono", "--group", files["s3"],
         "--surface", files["disk"], "--levy", files["levy_s3"]])
     assert code == 0
+    assert doc["pass"] is True
 
 
 def test_cover_verify_holo_mono(files, capsys):
@@ -132,6 +135,21 @@ def test_cover_mass_matches_partition(files, capsys):
     code, doc = run_json(capsys, [
         "cover", "mass", "--group", files["s3"],
         "--surface", files["torus"], "--levy", files["levy_s3"]])
+    assert code == 0
+    assert doc["pass"] is True
+
+
+def test_cover_mass_with_one_sided_rates(files, capsys, tmp_path):
+    """A boundary class C != C^-1 under rates that are not
+    inversion-invariant: the bundle mass still equals the partition
+    function."""
+    group = tmp_path / "z3.json"
+    group.write_text(json.dumps({"kind": "builtin", "name": "Z3"}))
+    levy = tmp_path / "levy_z3.json"
+    levy.write_text(json.dumps({"rates": {"1": 1.0}}))
+    code, doc = run_json(capsys, [
+        "cover", "mass", "--group", str(group), "--surface", files["disk"],
+        "--levy", str(levy)])
     assert code == 0
     assert doc["pass"] is True
 
@@ -199,3 +217,50 @@ def test_verify_failure_exit_code(files, capsys, tmp_path):
     code = run(["partition", "--group", str(group),
                 "--surface", str(surface), "--levy", str(levy)])
     assert code == 2
+
+
+SUBCOMMANDS = [
+    ["group-info"], ["faces"], ["partition"],
+    *(["verify", suite] for suite in (
+        "semigroup", "kappa-eta", "surgery", "subdivision", "tame",
+        "holo-mono", "counting")),
+    ["cover", "enumerate", "--k", "1"], ["cover", "mass"],
+    ["cover", "sample", "--count", "1"], ["cover", "verify-holo-mono"],
+]
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS, ids=" ".join)
+def test_inputs_report_every_option(files, capsys, tmp_path, command):
+    from holofield.surface import SurfaceSpec, map_to_json, standard_map
+
+    path = tmp_path / "torus_map.json"
+    path.write_text(map_to_json(standard_map(SurfaceSpec(True, 2, 0, 0.8))))
+    code, doc = run_json(capsys, command + [
+        "--group", files["s3"], "--surface", files["torus"],
+        "--map", str(path), "--levy", files["levy_s3"], "--time", "0.8",
+        "--seed", "7", "--tol", "1e-8", "--tail-tol", "1e-13",
+        "--cap", "100000", "--via", "graph"])
+    assert code == 0
+    assert doc["inputs"] == {
+        "cap": 100000, "group": files["s3"], "levy": files["levy_s3"],
+        "map": str(path), "seed": 7, "surface": files["torus"],
+        "tail_tol": 1e-13, "time": 0.8, "tol": 1e-8, "via": "graph"}
+
+
+def test_module_entry_point(files):
+    """python -m holofield.cli runs the command line."""
+    import os
+    import subprocess
+    import sys
+
+    import holofield.cli
+
+    src = os.path.dirname(os.path.dirname(
+        os.path.abspath(holofield.cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "holofield.cli", "group-info",
+         "--group", files["s3"]],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["order"] == 6

@@ -26,6 +26,8 @@ from holofield.groups import build_group, character_table, conjugacy_classes
 from holofield.holonomy import CapExceeded, partition_formula
 from holofield.levy import (
     HeatKernel,
+    jump_measure_from_class_rates,
+    poisson_weights,
     uniform_jump_measure,
 )
 from holofield.surface import RibbonMap, SurfaceSpec, standard_map
@@ -116,7 +118,10 @@ def test_aut_order_is_centralizer():
     t = MonodromyTuple(G, True, 0, (), (), (), (1, 1))
     # centralizer of a transposition in S3 has order 2
     assert aut_order(t) == 2
-    orbits = conjugation_orbits(G, [t.conjugate(g) for g in range(G.n)])
+    conjugates = [MonodromyTuple(G, True, 0, (), (), (),
+                                 tuple(G.conj(g, x) for x in t.d))
+                  for g in range(G.n)]
+    orbits = conjugation_orbits(G, conjugates)
     assert len(orbits) == 1 and len(orbits[0]) == 3
 
 
@@ -139,6 +144,17 @@ MASS_CASES = [
     ("S3", SurfaceSpec(True, 0, 3, 0.6, (1, 1, 2))),
 ]
 
+# Boundary classes C != C^-1 (A4's two 3-cycle classes, Z3's generators)
+# under jump rates that are not inversion-invariant.
+ONE_SIDED_RATES = {"A4": {1: 0.3, 2: 1.1, 3: 0.2}, "Z3": {1: 1.0}}
+ONE_SIDED_MASS_CASES = [
+    ("A4", SurfaceSpec(True, 0, 1, 0.7, (1,))),
+    ("A4", SurfaceSpec(True, 0, 1, 0.7, (2,))),
+    ("A4", SurfaceSpec(True, 0, 3, 0.9, (1, 1, 2))),
+    ("Z3", SurfaceSpec(True, 0, 1, 1.0, (1,))),
+    ("Z3", SurfaceSpec(True, 2, 2, 0.5, (1, 1))),
+]
+
 
 @pytest.mark.parametrize("gname,spec", MASS_CASES)
 def test_bb_mass_matches_partition_function(gname, spec):
@@ -147,6 +163,33 @@ def test_bb_mass_matches_partition_function(gname, spec):
     hk = HeatKernel(pi, character_table(G))
     assert bb_mass(G, spec, pi) == pytest.approx(
         partition_formula(G, spec, hk), abs=1e-9)
+
+
+@pytest.mark.parametrize("gname,spec", ONE_SIDED_MASS_CASES)
+def test_bb_mass_reads_boundary_classes_uninverted(gname, spec):
+    G = build_group(gname)
+    pi = jump_measure_from_class_rates(G, ONE_SIDED_RATES[gname])
+    hk = HeatKernel(pi, character_table(G))
+    assert bb_mass(G, spec, pi) == pytest.approx(
+        partition_formula(G, spec, hk), abs=1e-9)
+
+
+def test_bb_mass_is_poisson_mix_of_inverted_contractions():
+    """sum_k P(N = k) twist_mass_contraction(k) is the mass of the surface
+    whose boundary classes are inverted: the twists close the inverse of
+    w(a) c_1..c_p."""
+    G = build_group("A4")
+    classes = conjugacy_classes(G)
+    pi = jump_measure_from_class_rates(G, ONE_SIDED_RATES["A4"])
+    spec = SurfaceSpec(True, 0, 2, 0.7, (1, 3))
+    inverted = SurfaceSpec(True, 0, 2, 0.7, tuple(
+        classes.class_of[G.inv[classes.reps[c]]] for c in spec.constraints))
+    assert inverted.constraints == (2, 3)
+    mix = math.fsum(
+        p * float(twist_mass_contraction(G, inverted, pi, k))
+        for k, p in enumerate(poisson_weights(float(pi.total_rate) * 0.7,
+                                              1e-15)))
+    assert bb_mass(G, spec, pi) == pytest.approx(mix, abs=1e-12)
 
 
 def test_bb_mass_z2_sphere_closed_form():
