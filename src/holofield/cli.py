@@ -40,7 +40,6 @@ from .levy import (
     DEFAULT_TAIL_TOL,
     HeatKernel,
     check_admissible,
-    heat_kernel_characters,
     heat_kernel_series,
     jump_measure_from_class_rates,
 )
@@ -289,8 +288,7 @@ def _suite_semigroup(cfg, hk, t):
         cases.append({"case": f"Q_{s:g} * Q_{t:g} = Q_{s+t:g}",
                       **_compare(0.0, 0.0, cfg.tol, diff)})
     ser = heat_kernel_series(hk.pi, t, cfg.tail_tol)
-    cha = heat_kernel_characters(hk.pi, t, hk.table)
-    diff = max(abs(a - b) for a, b in zip(ser.values, cha.values))
+    diff = max(abs(a - b) for a, b in zip(ser.values, hk.density(t).values))
     cases.append({"case": "series = characters",
                   **_compare(0.0, 0.0, cfg.tol, diff)})
     return cases
@@ -390,7 +388,7 @@ def _suite_holo_mono(cfg, hk, t):
     if hk.pi.inversion_invariant:
         specs.append(("klein", SurfaceSpec(False, 2, 0, t)))
     for name, spec in specs:
-        rep = verify_holo_mono(hk.group, standard_map(spec), hk.pi,
+        rep = verify_holo_mono(hk.group, standard_map(spec), hk,
                                GConstraints(), tol=cfg.tol,
                                classes=hk.table.classes, cap=cfg.cap,
                                tail_tol=cfg.tail_tol)
@@ -502,7 +500,8 @@ def cmd_cover_verify(cfg: RunConfig, args) -> dict:
     spec = load_surface(cfg)
     pi = load_levy(cfg, G, classes)
     m = load_map(cfg) if cfg.map is not None else standard_map(spec)
-    rep = verify_holo_mono(G, m, pi, GConstraints(spec.constraints),
+    hk = HeatKernel(pi, character_table(G, classes))
+    rep = verify_holo_mono(G, m, hk, GConstraints(spec.constraints),
                            tol=cfg.tol, classes=classes, cap=cfg.cap,
                            tail_tol=cfg.tail_tol)
     return {"command": "cover verify-holo-mono", **_holo_mono(rep)}

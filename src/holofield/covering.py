@@ -38,14 +38,24 @@ from .levy import (
     poisson_weights,
 )
 from .surface import RibbonMap, SurfaceSpec, is_orientable
-from .loops import TameGenerators, _product_blocks, holonomy_of_steps
+from .loops import (
+    TameGenerators,
+    _product_blocks,
+    holonomy_of_steps,
+    tame_generators,
+)
 from .holonomy import (
     DEFAULT_CAP,
     CapExceeded,
     GConstraints,
+    _pair,
+    _require_inversion_invariant,
     marginal_generators,
     measure_m,
 )
+
+# attempts sample_covering makes before it gives up
+_MAX_ATTEMPTS = 2 * 10 ** 6
 
 
 def canonical_word(orientable: bool, genus: int) -> list[tuple[int, int]]:
@@ -123,20 +133,13 @@ class MonodromyTuple:
 
 @dataclass(frozen=True)
 class RamificationCounts:
-    """Number of ramification points with the Poisson intensity that
-    produced it; one entry per face for map-level sampling, a single entry
-    for whole-surface computations."""
+    """Numbers of ramification points of a drawn bundle."""
 
     counts: tuple[int, ...]
-    intensities: tuple[float, ...]
 
     def __post_init__(self):
-        if len(self.counts) != len(self.intensities):
-            raise ValueError("counts and intensities must align")
         if any(k < 0 for k in self.counts):
             raise ValueError("counts must be non-negative")
-        if any(i <= 0 for i in self.intensities):
-            raise ValueError("intensities must be positive")
 
     @property
     def total(self) -> int:
@@ -245,17 +248,15 @@ def bb_mass_fixed_k(G: FiniteGroup, spec: SurfaceSpec, pi: JumpMeasure,
                     cap: int = DEFAULT_CAP):
     """Mass contributed by bundles with exactly k ramification points:
     the prefactored sum over tuples of the product of normalized jump
-    probabilities of the twists. Exact when the jump rates are rational."""
+    probabilities of the twists. Exact when the jump rates are rational,
+    and summed with math.fsum otherwise."""
     if classes is None:
         classes = conjugacy_classes(G)
     pi1 = pi.normalized()
-    total = Fraction(0) if all(isinstance(w, (int, Fraction))
-                               for w in pi1.weights) else 0.0
-    for t in enumerate_H(G, spec, k, classes, cap):
-        w = total * 0 + 1
-        for di in t.d:
-            w = w * pi1.weights[di]
-        total = total + w
+    weights = [math.prod(pi1.weights[di] for di in t.d)
+               for t in enumerate_H(G, spec, k, classes, cap)]
+    exact = all(isinstance(w, (int, Fraction)) for w in pi1.weights)
+    total = sum(weights, Fraction(0)) if exact else math.fsum(weights)
     return _prefactor(G, spec, classes) * total
 
 
@@ -285,9 +286,7 @@ def bb_mass(G: FiniteGroup, spec: SurfaceSpec, pi: JumpMeasure,
     the heat-kernel partition function."""
     if classes is None:
         classes = conjugacy_classes(G)
-    if not spec.orientable and not pi.inversion_invariant:
-        raise ValueError(
-            "non-orientable surfaces need an inversion-invariant jump measure")
+    _require_inversion_invariant(spec.orientable, pi)
     if t is None:
         t = spec.area
     mu = measure_m(G, spec, classes)
@@ -297,14 +296,12 @@ def bb_mass(G: FiniteGroup, spec: SurfaceSpec, pi: JumpMeasure,
     # inverted, since the twists close (w(a) c_1..c_p)^-1 (as
     # _boundary_classes_for inverts classes on maps); the prefactor times
     # the contraction's scale is n
-    q = heat_kernel_series(pi, t, tail_tol).values
-    return float(sum(float(w) * q[x] for x, w in enumerate(mu.weights)))
+    return _pair(mu, heat_kernel_series(pi, t, tail_tol).values)
 
 
 def sample_covering(G: FiniteGroup, spec: SurfaceSpec, pi: JumpMeasure,
                     seed: int,
-                    classes: ConjugacyClassTable | None = None,
-                    max_attempts: int = 2 * 10 ** 6
+                    classes: ConjugacyClassTable | None = None
                     ) -> tuple[RamificationCounts, MonodromyTuple]:
     """One draw from the normalized bundle measure by rejection: sample the
     ramification count from a Poisson law, the generator entries uniformly,
@@ -314,9 +311,7 @@ def sample_covering(G: FiniteGroup, spec: SurfaceSpec, pi: JumpMeasure,
     if classes is None:
         classes = conjugacy_classes(G)
     orbits = _orbits(spec, classes)
-    if not spec.orientable and not pi.inversion_invariant:
-        raise ValueError(
-            "non-orientable surfaces need an inversion-invariant jump measure")
+    _require_inversion_invariant(spec.orientable, pi)
     intensity = float(pi.total_rate) * spec.area
     cum_k = list(itertools.accumulate(poisson_weights(intensity,
                                                       DEFAULT_TAIL_TOL)))
@@ -324,7 +319,7 @@ def sample_covering(G: FiniteGroup, spec: SurfaceSpec, pi: JumpMeasure,
                                     for w in pi.normalized().weights))
     rng = random.Random(seed)
 
-    for _ in range(max_attempts):
+    for _ in range(_MAX_ATTEMPTS):
         # both draws invert a cumulative distribution by bisection; the
         # clamp covers a normalized sum that rounds below u
         k = min(bisect.bisect_left(cum_k, rng.random()), len(cum_k) - 1)
@@ -334,12 +329,11 @@ def sample_covering(G: FiniteGroup, spec: SurfaceSpec, pi: JumpMeasure,
                   for _ in range(k))
         steps = _relation_steps(spec.orientable, spec.genus, len(c) + k)
         if holonomy_of_steps(G, steps, a + c + d) == 0:
-            counts = RamificationCounts((k,), (intensity,))
-            return counts, MonodromyTuple(G, spec.orientable, spec.genus,
-                                          spec.constraints, a, c, d)
+            return RamificationCounts((k,)), MonodromyTuple(
+                G, spec.orientable, spec.genus, spec.constraints, a, c, d)
     raise RuntimeError(
-        f"acceptance rate below {1.0 / max_attempts:g} after "
-        f"{max_attempts} attempts; the relation admits too few tuples")
+        f"acceptance rate below {1.0 / _MAX_ATTEMPTS:g} after "
+        f"{_MAX_ATTEMPTS} attempts; the relation admits too few tuples")
 
 
 def _boundary_classes_for(tame: TameGenerators, C: GConstraints,
@@ -371,9 +365,7 @@ def monodromy_marginal(G: FiniteGroup, m: RibbonMap, tame: TameGenerators,
         C = GConstraints()
     if m.areas is None:
         raise ValueError("map must carry face areas")
-    if not is_orientable(m) and not pi.inversion_invariant:
-        raise ValueError(
-            "non-orientable maps need an inversion-invariant jump measure")
+    _require_inversion_invariant(is_orientable(m), pi)
     g = len(tame.a)
     f = len(tame.l)
     areas = [m.areas[i] for i in tame.face_of_l]
@@ -415,7 +407,7 @@ class HoloMonoReport:
         self.passed = bool(self.max_abs_diff <= self.tol)
 
 
-def verify_holo_mono(G: FiniteGroup, m: RibbonMap, pi: JumpMeasure,
+def verify_holo_mono(G: FiniteGroup, m: RibbonMap, hk: HeatKernel,
                      C: GConstraints | None = None,
                      tame: TameGenerators | None = None,
                      tol: float = 1e-9,
@@ -425,19 +417,15 @@ def verify_holo_mono(G: FiniteGroup, m: RibbonMap, pi: JumpMeasure,
     """Check that the generator law of the holonomy field (characters
     allowed) matches the monodromy law of the weighted random covering
     (series only) on the same map."""
-    from .groups import character_table
-    from .loops import tame_generators
-
     if classes is None:
         classes = conjugacy_classes(G)
     if C is None:
         C = GConstraints()
     if tame is None:
         tame = tame_generators(m)
-    hk = HeatKernel(pi, character_table(G))
     gens = list(tame.a) + list(tame.c) + list(tame.l)
     hf_pmf, hf_total = marginal_generators(G, m, C, gens, hk, classes, cap)
-    mf_pmf, mf_total = monodromy_marginal(G, m, tame, pi, C, classes,
+    mf_pmf, mf_total = monodromy_marginal(G, m, tame, hk.pi, C, classes,
                                           tail_tol)
     diff = 0.0
     for key in set(hf_pmf) | set(mf_pmf):

@@ -423,71 +423,48 @@ def character_table(
     n = G.n
     mul = _tables(G, True)[0]
     cls = np.array(classes.class_of)
+    sizes = np.array(classes.sizes)
     # structure matrices: N[c, d, e] counts the pairs (x in C_c, y in C_d)
     # with x y in C_e
     x, y = np.divmod(np.arange(n * n), n)
     N = np.bincount((cls[x] * r + cls[y]) * r + cls[mul], minlength=r ** 3)
     N = N.reshape(r, r, r).astype(float)
-    # N_c acting by right multiplication on class-sum coordinates:
-    # (N_c)[d, e] counts products landing in class e
+    # squares[c] counts the x with x^2 in C_c
+    squares = np.bincount(cls[mul[np.arange(n) * (n + 1)]], minlength=r)
     for attempt in range(_CHAR_MAX_RETRIES):
         rng = np.random.default_rng(1234 + attempt)
         coeff = rng.standard_normal(r)
         # structure constants a_{cde} = N[c,d,e] / |C_e|; the right
         # eigenvectors of sum_c coeff_c (a_{cde})_{d,e} are omega_alpha
-        M = np.tensordot(coeff, N, axes=(0, 0)) / np.array(classes.sizes)[None, :]
+        M = np.tensordot(coeff, N, axes=(0, 0)) / sizes[None, :]
         eigvals, eigvecs = np.linalg.eig(M)
         if r > 1 and np.min(
             np.abs(np.subtract.outer(eigvals, eigvals) + np.eye(r) * 1e9)
         ) < 1e-7:
             continue  # eigenvalue collision: redraw the combination
-        vecs = eigvecs
-        table = np.zeros((r, r), dtype=complex)
-        dims = []
-        ok = True
-        for a in range(r):
-            v = vecs[:, a]
-            if abs(v[0]) < 1e-12:
-                ok = False
-                break
-            omega = v / v[0]
-            s = sum(abs(omega[c]) ** 2 / classes.sizes[c] for c in range(r))
-            d = np.sqrt(n / s.real)
-            if abs(d - round(d)) > 1e-6:
-                ok = False
-                break
-            d = round(d)
-            dims.append(d)
-            for c in range(r):
-                table[a, c] = d * omega[c] / classes.sizes[c]
-        if not ok:
+        if np.min(np.abs(eigvecs[0])) < 1e-12:
             continue
-        # deterministic row order: dimension, then class values lexicographically
-        def sort_key(a):
-            vals = []
-            for c in range(r):
-                z = table[a, c]
-                vals.append((round(z.real, 8), round(z.imag, 8)))
-            return (dims[a], vals)
-
-        perm = sorted(range(r), key=sort_key)
-        table = table[perm]
-        dims = [dims[a] for a in perm]
+        # column a normalized to omega_a(identity class) = 1, then
+        # chi_a = d_a omega_a / |C| with d_a^2 = n / sum_c |omega_a(c)|^2/|C_c|
+        omega = eigvecs / eigvecs[0]
+        d = np.sqrt(n / (np.abs(omega) ** 2 / sizes[:, None]).sum(axis=0))
+        if np.max(np.abs(d - np.round(d))) > 1e-6:
+            continue
+        d = np.round(d)
+        table = (d * omega / sizes[:, None]).T.astype(complex)
+        # deterministic row order: dimension, then class values
+        # lexicographically (last key first for lexsort)
+        values = np.round(np.stack([table.real, table.imag], axis=2), 8)
+        perm = np.lexsort([*values.reshape(r, 2 * r).T[::-1], d])
+        table, d = table[perm], d[perm]
         # Frobenius-Schur indicator: (1/n) sum_x chi(x^2)
-        fs = []
-        sq_class_count = np.bincount(cls[mul[np.arange(n) * (n + 1)]],
-                                     minlength=r).tolist()
-        for a in range(r):
-            val = sum(sq_class_count[c] * table[a, c] for c in range(r)) / n
-            if abs(val.imag) > 1e-8 or abs(val.real - round(val.real)) > 1e-8:
-                ok = False
-                break
-            fs.append(round(val.real))
-        if not ok:
+        fs = table @ squares / n
+        if np.max(np.abs([fs.imag, fs.real - np.round(fs.real)])) > 1e-8:
             continue
         ct = CharacterTable(
             group=G, classes=classes, table=table,
-            dims=tuple(dims), fs_indicator=tuple(fs),
+            dims=tuple(d.astype(int).tolist()),
+            fs_indicator=tuple(np.round(fs.real).astype(int).tolist()),
         )
         _check_orthogonality(ct)
         return ct

@@ -26,7 +26,7 @@ from .groups import (
     eta_measure,
     kappa_measure,
 )
-from .levy import HeatKernel
+from .levy import HeatKernel, JumpMeasure
 from .loops import (
     EdgeWord,
     _product_blocks,
@@ -175,14 +175,18 @@ def constrained_configurations(G: FiniteGroup, m: RibbonMap, C: GConstraints,
             yield dict(zip(edges, values)), x
 
 
+def _require_inversion_invariant(orientable: bool, pi: JumpMeasure) -> None:
+    if not orientable and not pi.inversion_invariant:
+        raise ValueError(
+            "non-orientable surfaces need an inversion-invariant jump measure")
+
+
 def _face_words(m: RibbonMap, hk: HeatKernel):
     """Each face's boundary word compiled to steps, with the heat kernel at
     the face's area; areas and orientability are checked once."""
     if m.areas is None:
         raise ValueError("face areas are not assigned")
-    if not is_orientable(m) and not hk.pi.inversion_invariant:
-        raise ValueError(
-            "non-orientable maps need an inversion-invariant jump measure")
+    _require_inversion_invariant(is_orientable(m), hk.pi)
     return [(word_steps(m, [d for d, _ in cyc]),
              np.array(hk.density(m.areas[i]).values))
             for i, cyc in enumerate(faces(m).cycles)]
@@ -218,21 +222,29 @@ def measure_m(G: FiniteGroup, spec: SurfaceSpec,
     one class convolution per boundary."""
     if classes is None:
         classes = conjugacy_classes(G)
-    mu = _word_law(G, spec.orientable, spec.genus)
-    for c in spec.constraints:
+    return _with_boundaries(G, _word_law(G, spec.orientable, spec.genus),
+                            spec.constraints, classes)
+
+
+def _with_boundaries(G: FiniteGroup, mu: ClassMeasure, constraints,
+                     classes: ConjugacyClassTable) -> ClassMeasure:
+    """mu convolved with the uniform law on each boundary class in turn."""
+    for c in constraints:
         mu = convolve(mu, delta_class(G, c, classes))
     return mu
+
+
+def _pair(mu: ClassMeasure, q) -> float:
+    """sum_x q[x] mu({x}), added in element order."""
+    return float(sum(float(w) * q[x] for x, w in enumerate(mu.weights)))
 
 
 def partition_formula(G: FiniteGroup, spec: SurfaceSpec, hk: HeatKernel,
                       classes: ConjugacyClassTable | None = None) -> float:
     """Z = sum_x Q_t(x) m({x})."""
-    if not spec.orientable and not hk.pi.inversion_invariant:
-        raise ValueError(
-            "non-orientable surfaces need an inversion-invariant jump measure")
+    _require_inversion_invariant(spec.orientable, hk.pi)
     mu = measure_m(G, spec, classes)
-    q = hk.density(spec.area)
-    return float(sum(float(w) * q.values[x] for x, w in enumerate(mu.weights)))
+    return _pair(mu, hk.density(spec.area).values)
 
 
 @dataclass
@@ -249,12 +261,14 @@ class SymmetricClassFunction:
             raise ValueError("wrong arity")
         return self.values[tuple(sorted(cs))]
 
-    def check_symmetry(self, tol: float = 0.0) -> bool:
-        for key in self.values:
-            for perm in itertools.permutations(key):
-                if abs(self.values[tuple(sorted(perm))] - self.values[key]) > tol:
-                    return False
-        return True
+
+def _tabulate(G: FiniteGroup, classes: ConjugacyClassTable, arity: int,
+              entry) -> SymmetricClassFunction:
+    """The symmetric function whose value at each sorted tuple of classes
+    is entry(tuple)."""
+    return SymmetricClassFunction(G, classes, arity, {
+        tup: entry(tup) for tup in
+        itertools.combinations_with_replacement(range(classes.r), arity)})
 
 
 def z_function(G: FiniteGroup, orientable: bool, p: int, g: int, t: float,
@@ -263,19 +277,11 @@ def z_function(G: FiniteGroup, orientable: bool, p: int, g: int, t: float,
     """Tabulate the partition function over all p-tuples of classes."""
     if classes is None:
         classes = conjugacy_classes(G)
-    if not orientable and not hk.pi.inversion_invariant:
-        raise ValueError(
-            "non-orientable surfaces need an inversion-invariant jump measure")
+    _require_inversion_invariant(orientable, hk.pi)
     base = _word_law(G, orientable, g)
-    q = hk.density(t)
-    out = {}
-    for tup in itertools.combinations_with_replacement(range(classes.r), p):
-        mu = base
-        for c in tup:
-            mu = convolve(mu, delta_class(G, c, classes))
-        out[tup] = float(sum(float(w) * q.values[x]
-                             for x, w in enumerate(mu.weights)))
-    return SymmetricClassFunction(G, classes, p, out)
+    q = hk.density(t).values
+    return _tabulate(G, classes, p, lambda tup: _pair(
+        _with_boundaries(G, base, tup, classes), q))
 
 
 def upsilon(Z: SymmetricClassFunction) -> SymmetricClassFunction:
@@ -283,11 +289,8 @@ def upsilon(Z: SymmetricClassFunction) -> SymmetricClassFunction:
     if Z.arity < 1:
         raise ValueError("arity must be at least 1")
     G, classes = Z.group, Z.classes
-    out = {}
-    for tup in itertools.combinations_with_replacement(range(classes.r), Z.arity - 1):
-        s = sum(Z(*tup, classes.class_of[G.mul[x][x]]) for x in range(G.n))
-        out[tup] = s / G.n
-    return SymmetricClassFunction(G, classes, Z.arity - 1, out)
+    return _tabulate(G, classes, Z.arity - 1, lambda tup: sum(
+        Z(*tup, classes.class_of[G.mul[x][x]]) for x in range(G.n)) / G.n)
 
 
 def beta1(Z: SymmetricClassFunction) -> SymmetricClassFunction:
@@ -295,12 +298,9 @@ def beta1(Z: SymmetricClassFunction) -> SymmetricClassFunction:
     if Z.arity < 2:
         raise ValueError("arity must be at least 2")
     G, classes = Z.group, Z.classes
-    out = {}
-    for tup in itertools.combinations_with_replacement(range(classes.r), Z.arity - 2):
-        s = sum(Z(*tup, classes.class_of[x], classes.class_of[G.inv[x]])
-                for x in range(G.n))
-        out[tup] = s / G.n
-    return SymmetricClassFunction(G, classes, Z.arity - 2, out)
+    return _tabulate(G, classes, Z.arity - 2, lambda tup: sum(
+        Z(*tup, classes.class_of[x], classes.class_of[G.inv[x]])
+        for x in range(G.n)) / G.n)
 
 
 def beta2(Z1: SymmetricClassFunction, Z2: SymmetricClassFunction) -> SymmetricClassFunction:
@@ -308,16 +308,11 @@ def beta2(Z1: SymmetricClassFunction, Z2: SymmetricClassFunction) -> SymmetricCl
     if Z1.arity < 1 or Z2.arity < 1:
         raise ValueError("arities must be at least 1")
     G, classes = Z1.group, Z1.classes
-    arity = Z1.arity + Z2.arity - 2
-    out = {}
-    for tup in itertools.combinations_with_replacement(range(classes.r), arity):
-        part1, part2 = tup[: Z1.arity - 1], tup[Z1.arity - 1:]
-        out[tup] = sum(
-            Z1(*part1, classes.class_of[z])
-            * Z2(*part2, classes.class_of[G.inv[z]])
-            for z in range(G.n)
-        ) / G.n
-    return SymmetricClassFunction(G, classes, arity, out)
+    cut = Z1.arity - 1
+    return _tabulate(G, classes, Z1.arity + Z2.arity - 2, lambda tup: sum(
+        Z1(*tup[:cut], classes.class_of[z])
+        * Z2(*tup[cut:], classes.class_of[G.inv[z]])
+        for z in range(G.n)) / G.n)
 
 
 def _tally(blocks) -> dict[tuple[int, ...], float]:

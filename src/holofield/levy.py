@@ -20,7 +20,6 @@ from .groups import (
     FiniteGroup,
     _convolve,
     _ldiv,
-    character_table,
     conjugacy_classes,
     fourier_coefficient,
 )
@@ -32,7 +31,6 @@ __all__ = [
     "uniform_jump_measure",
     "check_admissible",
     "heat_kernel_series",
-    "heat_kernel_characters",
     "positivity_support_check",
     "poisson_truncation_index",
     "poisson_weights",
@@ -88,22 +86,28 @@ def jump_measure_from_class_rates(
     G: FiniteGroup, rates: dict, classes: ConjugacyClassTable | None = None
 ) -> JumpMeasure:
     """Expand per-class rates (keyed by class index or representative label)
-    into singleton weights: a class with rate w gets w/|C| per element."""
+    into singleton weights: a class with rate w gets w/|C| per element.
+    A string key is a label first and otherwise an integer class index, as
+    JSON object keys are always strings."""
     if classes is None:
         classes = conjugacy_classes(G)
     per_class = [Fraction(0)] * classes.r
+    given = set()
     for key, rate in rates.items():
-        if isinstance(key, int):
-            c = key
-        else:
-            matches = [
-                c for c in range(classes.r) if classes.rep_label(c) == str(key)
-            ]
-            if not matches:
-                raise ValueError(f"no conjugacy class with representative {key!r}")
-            c = matches[0]
+        c = key if isinstance(key, int) else next(
+            (c for c in range(classes.r) if classes.rep_label(c) == str(key)),
+            None)
+        if c is None:
+            try:
+                c = int(str(key))
+            except ValueError:
+                raise ValueError(
+                    f"no conjugacy class with representative {key!r}") from None
         if not (0 <= c < classes.r):
             raise ValueError(f"class index {c} out of range")
+        if c in given:
+            raise ValueError(f"class {c} is given twice")
+        given.add(c)
         per_class[c] = Fraction(rate) if not isinstance(rate, float) else rate
     weights = [
         per_class[classes.class_of[x]] / classes.sizes[classes.class_of[x]]
@@ -254,16 +258,8 @@ def heat_kernel_series(
     return ClassDensity(G, tuple((G.n * q).tolist()))
 
 
-def heat_kernel_characters(
-    pi: JumpMeasure, t: float, table: CharacterTable | None = None
-) -> ClassDensity:
-    """Q_t(x) = sum_alpha e^{-t lambda_alpha} d_alpha chi_alpha(x)."""
-    if table is None:
-        table = character_table(pi.group)
-    return _character_sum(table, _exponents(pi, table), t)
-
-
 def _character_sum(table: CharacterTable, exponents, t: float) -> ClassDensity:
+    """Q_t(x) = sum_alpha e^{-t lambda_alpha} d_alpha chi_alpha(x)."""
     if t < 0:
         raise ValueError("time must be non-negative")
     coeffs = [cmath.exp(-t * lam) * d for lam, d in zip(exponents, table.dims)]

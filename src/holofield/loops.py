@@ -142,20 +142,22 @@ def holonomy_of_word(G: FiniteGroup, m: RibbonMap, config: dict[int, int],
     return holonomy_of_steps(G, word_steps(m, w.darts), config)
 
 
+def _find(comp: list[int], x: int) -> int:
+    """Root of x in the union-find forest comp, halving the path."""
+    while comp[x] != x:
+        comp[x] = comp[comp[x]]
+        x = comp[x]
+    return x
+
+
 def _grow_tree(m: RibbonMap, seeds: list[int], allowed: list[int]) -> set[int]:
     """Extend the seed forest to a spanning tree using allowed edges in
     ascending order; edge ids, not darts."""
     comp = list(range(m.n_vertices))
-
-    def find(x):
-        while comp[x] != x:
-            comp[x] = comp[comp[x]]
-            x = comp[x]
-        return x
-
     tree = set()
     for e in list(seeds) + sorted(allowed):
-        a, b = find(m.vertex_of(e)), find(m.vertex_of(m.alpha[e]))
+        a = _find(comp, m.vertex_of(e))
+        b = _find(comp, m.vertex_of(m.alpha[e]))
         if a != b:
             comp[a] = b
             tree.add(e)
@@ -177,19 +179,11 @@ def dual_spanning_tree(m: RibbonMap) -> frozenset[int]:
     fs = faces(m)
     bdarts = m.boundary_darts()
     comp = list(range(len(fs.cycles)))
-
-    def find(x):
-        while comp[x] != x:
-            comp[x] = comp[comp[x]]
-            x = comp[x]
-        return x
-
     tree = set()
     for e in m.edges():
         if e in bdarts or m.alpha[e] in bdarts:
             continue
-        a = find(fs.home[e, 1])
-        b = find(fs.home[e, -1])
+        a, b = _find(comp, fs.home[e, 1]), _find(comp, fs.home[e, -1])
         if a != b:
             comp[a] = b
             tree.add(e)
@@ -291,7 +285,6 @@ class TameGenerators:
 
     base: int
     a: list[EdgeWord]
-    a_edges: list[int]
     c: list[EdgeWord]
     c_meta: list[tuple[int, int]]  # (boundary circuit index, exponent)
     l: list[EdgeWord]
@@ -526,7 +519,7 @@ def tame_generators(m: RibbonMap, base: int = 0) -> TameGenerators:
         face_of_l.append(u)
 
     out = TameGenerators(
-        base=base, a=a_words, a_edges=r_edges, c=c_words, c_meta=c_meta,
+        base=base, a=a_words, c=c_words, c_meta=c_meta,
         l=l_words, face_of_l=face_of_l, w=w_letters, cycles=cycles,
         conj=conjs, tree=frozenset(tree),
     )
@@ -634,7 +627,7 @@ def _assemble_refined(tame, fine, split_position, C, cut, first,
     conjs = list(tame.conj)
     conjs[split_position:split_position + 1] = [new_conj_first, new_conj_first]
     return TameGenerators(
-        base=base, a=tame.a, a_edges=tame.a_edges, c=tame.c,
+        base=base, a=tame.a, c=tame.c,
         c_meta=tame.c_meta, l=l_list, face_of_l=faces_list, w=tame.w,
         cycles=cycles, conj=conjs, tree=tree,
     )

@@ -33,7 +33,6 @@ from holofield.holonomy import (
 from holofield.levy import (
     HeatKernel,
     check_admissible,
-    heat_kernel_characters,
     heat_kernel_series,
     jump_measure_from_class_rates,
     uniform_jump_measure,
@@ -69,7 +68,7 @@ def make_hk(name):
 def test_kernel_series_matches_characters(gname, t):
     G, pi, hk = make_hk(gname)
     by_series = heat_kernel_series(pi, t)
-    by_chars = heat_kernel_characters(pi, t, character_table(G))
+    by_chars = hk.density(t)
     diff = max(abs(a - b) for a, b in zip(by_series.values, by_chars.values))
     assert diff <= 1e-9
 
@@ -219,7 +218,7 @@ def test_field_law_equals_covering_law(gname, spec):
     G, pi, hk = make_hk(gname)
     m = standard_map(spec)
     C = GConstraints(boundary_classes=spec.constraints)
-    report = verify_holo_mono(G, m, pi, C=C, tol=1e-9)
+    report = verify_holo_mono(G, m, hk, C=C, tol=1e-9)
     assert report.passed
 
 

@@ -154,6 +154,25 @@ def test_cover_mass_with_one_sided_rates(files, capsys, tmp_path):
     assert doc["pass"] is True
 
 
+def test_levy_keys_may_be_class_indices(files, capsys, tmp_path):
+    """JSON keys are strings; one that is no representative label is read
+    as a class index."""
+    from holofield.groups import build_group
+    from holofield.levy import jump_measure_from_class_rates
+
+    rates = {"1": 0.5, "2": 0.5}
+    G = build_group("S3")
+    assert jump_measure_from_class_rates(G, rates).measure.weights == \
+        jump_measure_from_class_rates(G, {1: 0.5, 2: 0.5}).measure.weights
+    levy = tmp_path / "levy_index.json"
+    levy.write_text(json.dumps({"rates": rates}))
+    code, doc = run_json(capsys, [
+        "partition", "--group", files["s3"], "--surface", files["torus"],
+        "--levy", str(levy)])
+    assert code == 0
+    assert doc["pass"] is True
+
+
 def test_cover_sample_deterministic(files, capsys):
     argv = ["cover", "sample", "--count", "3", "--seed", "11",
             "--group", files["z2"], "--surface", files["torus"],
@@ -264,3 +283,26 @@ def test_module_entry_point(files):
         capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["order"] == 6
+
+
+def test_cli_snapshot_records_runs(tmp_path, monkeypatch):
+    """tools/cli_snapshot.py records argv, exit code, stdout and stderr of
+    each run against a checkout's src."""
+    import importlib.util
+    import os
+    import sys
+
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location(
+        "cli_snapshot", os.path.join(repo, "tools", "cli_snapshot.py"))
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    tool.write_inputs(str(tmp_path), 201, tool.GroupData())
+    argvs = tool.commands(201)[:2]
+    assert [a[0] for a in argvs] == ["group-info", "faces"]
+    records = tool.snapshot(repo, str(tmp_path), argvs)
+    assert [(r["argv"], r["exit"], r["stderr"]) for r in records] == \
+        [(a, 0, "") for a in argvs]
+    assert json.loads(records[0]["stdout"])["order"] == 6
+    assert json.loads(records[1]["stdout"])["command"] == "faces"

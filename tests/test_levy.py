@@ -12,7 +12,6 @@ from holofield.groups import (
 from holofield.levy import (
     HeatKernel,
     check_admissible,
-    heat_kernel_characters,
     heat_kernel_series,
     jump_measure_from_class_rates,
     poisson_truncation_index,
@@ -47,6 +46,14 @@ def test_rates_by_label():
     assert a.measure.weights == b.measure.weights
     with pytest.raises(ValueError):
         jump_measure_from_class_rates(G, {"no-such-label": 1})
+
+
+def test_rates_name_each_class_once():
+    """A label and an index of the same class would otherwise overwrite
+    each other in key order."""
+    G = build_group("S3")
+    with pytest.raises(ValueError, match="given twice"):
+        jump_measure_from_class_rates(G, {"021": 0.5, "1": 0.7})
 
 
 def test_uniform_jump_measure_total_rate():
@@ -101,7 +108,7 @@ def test_series_at_large_rate_times_t(rate, t):
     G = build_group("S3")
     pi = uniform_jump_measure(G, rate)
     ser = heat_kernel_series(pi, t)
-    cha = heat_kernel_characters(pi, t, character_table(G))
+    cha = HeatKernel(pi, character_table(G)).density(t)
     assert all(math.isfinite(v) for v in ser.values)
     assert max(abs(a - b) for a, b in zip(ser.values, cha.values)) <= 1e-9
 
@@ -113,7 +120,7 @@ def test_series_matches_characters():
         ct = character_table(G)
         for t in (0.1, 1.0, 5.0):
             ser = heat_kernel_series(pi, t)
-            cha = heat_kernel_characters(pi, t, ct)
+            cha = HeatKernel(pi, ct).density(t)
             diff = max(abs(a - b) for a, b in zip(ser.values, cha.values))
             assert diff <= 1e-9
 

@@ -59,7 +59,7 @@ def test_splits_across_twisted_edges(spec):
         tame = tame_generators(fine)
         assert tame.relation_word(fine).darts == ()
         if not spec.constraints:
-            assert verify_holo_mono(G, fine, PI, tame=tame).passed
+            assert verify_holo_mono(G, fine, HK, tame=tame).passed
         for d in range(fine.n_darts):
             sub, _ = subdivide_edge(fine, d)
             assert partition_graph(G, sub, C, HK) == pytest.approx(
@@ -103,7 +103,7 @@ def test_random_refinement_chains(surface, boundaries, steps):
     assert partition_graph(G, m, C, HK) == pytest.approx(
         partition_formula(G, spec, HK), abs=1e-10)
     if not boundaries:
-        assert verify_holo_mono(G, m, PI, tame=tame).passed
+        assert verify_holo_mono(G, m, HK, tame=tame).passed
 
 
 def seven_letter_map():
