@@ -2,14 +2,22 @@
 and the tame generating systems of the group of reduced loops of a map: g
 genus lassos, one bounding lasso per boundary circuit and one facial lasso
 per face, tied by a single relation w(a) c_1..c_p = l_1..l_f.
+
+The tame system comes from one contour walk of the polygon that the faces
+form when glued along a dual spanning tree: face 0's cycle is walked, the
+walk goes down into the face across each dual-tree dart and comes back
+when that face's cycle closes. The non-tree letters met on the way spell
+the polygon's word, which splits into w(a) and the bounding letters; the
+facial lassos come in the reverse of the order their cycles close, each
+conjugated by the inverse of the letters walked before its cycle closed.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 
 import numpy as np
 
@@ -313,6 +321,18 @@ def _concat_all(m: RibbonMap, words: list[EdgeWord], base: int) -> EdgeWord:
     return out
 
 
+def _lasso_product(m: RibbonMap, tree, up, items, base: int) -> EdgeWord:
+    """The lassos of the darts of a run of framed darts (a facial cycle or a
+    stretch of one), multiplied in order."""
+    return _concat_all(m, [lasso(m, tree, d, base, up) for d, _ in items],
+                       base)
+
+
+def _conjugate(m: RibbonMap, w: EdgeWord, s: EdgeWord) -> EdgeWord:
+    """The reduced word s^-1 w s."""
+    return reduce_word(m, concat(m, inverse(m, s), w, s))
+
+
 def _word_of_letters(m: RibbonMap, lassos: dict[int, EdgeWord], sym,
                      base: int) -> EdgeWord:
     out = EdgeWord(base)
@@ -325,19 +345,8 @@ def _inv_sym(sym):
     return [(e, -s) for e, s in reversed(sym)]
 
 
-def _label_cmp(u, v):
-    """Prefix first, then first differing letter with larger integer first."""
-    for a, b in zip(u, v):
-        if a != b:
-            return -1 if a > b else 1
-    if len(u) == len(v):
-        return 0
-    return -1 if len(u) < len(v) else 1
-
-
 def tame_generators(m: RibbonMap, base: int = 0) -> TameGenerators:
     fs = faces(m)
-    nf = len(fs.cycles)
     dual = dual_spanning_tree(m)
     bdarts = m.boundary_darts()
 
@@ -371,106 +380,37 @@ def tame_generators(m: RibbonMap, base: int = 0) -> TameGenerators:
     lassos = {e: lasso(m, tree, letter_rep[e], base, up)
               for e in list(r_edges) + sorted(b_edges)}
 
-    def sym_of_dart(d):
+    # contour walk of the polygon the faces form when glued along the dual
+    # tree: walk each face's cycle from the dart it was entered by, go down
+    # into the face across every other dual-tree dart and resume when that
+    # face's cycle closes. The letters met spell the polygon's word V, and a
+    # face closing after the first k of them has the conjugator V[:k]^-1
+    V: list[tuple[int, int]] = []
+    closed = []  # (face, cycle, len(V)) in the order the cycles close
+    walk = [(0, fs.cycles[0], iter(fs.cycles[0]))]
+    while walk:
+        u, cyc, rest = walk[-1]
+        item = next(rest, None)
+        if item is None:
+            walk.pop()
+            closed.append((u, cyc, len(V)))
+            continue
+        d, eps = item
         e = m.edge_of(d)
-        if e in tree or e in dual:
-            return None
-        return (e, 1 if d == letter_rep[e] else -1)
-
-    # adapted orientation of every face, grown from the root face 0
-    oriented: dict[int, list[tuple[int, int]]] = {0: list(fs.cycles[0])}
-    children: dict[int, list[int]] = {i: [] for i in range(nf)}
-    queue = [0]
-    visited = {0}
-    while queue:
-        u = queue.pop(0)
-        for d, eps in oriented[u]:
-            e = m.edge_of(d)
-            if e not in dual:
-                continue
-            # the face across the edge runs through the opposite dart:
-            # follow the facial permutation starting from it
+        if e in dual:
+            # the face across runs through the opposite dart: follow the
+            # facial permutation starting from it
             across = m.twin(d, -eps)
-            other = fs.home[across]
-            if other in visited:
-                continue
-            visited.add(other)
-            children[u].append(other)
-            cyc = [across]
-            while m.phi(*cyc[-1]) != across:
-                cyc.append(m.phi(*cyc[-1]))
-            oriented[other] = cyc
-            queue.append(other)
-    if len(visited) != nf:
+            child = [across]
+            while m.phi(*child[-1]) != across:
+                child.append(m.phi(*child[-1]))
+            walk.append((fs.home[across], tuple(child), iter(child[1:])))
+        elif e not in tree:
+            V.append((e, 1 if d == letter_rep[e] else -1))
+    if len(closed) != len(fs.cycles):
         raise MapError("dual tree traversal missed a face")
 
-    # Neveu labels: children in order of appearance along the oriented cycle
-    label_of_face: dict[int, tuple[int, ...]] = {0: ()}
-    face_of_label: dict[tuple[int, ...], int] = {(): 0}
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        lab = label_of_face[u]
-        for j, ch in enumerate(children[u], start=1):
-            label_of_face[ch] = lab + (j,)
-            face_of_label[lab + (j,)] = ch
-            stack.append(ch)
-
-    # per-face segment words between consecutive dual-tree darts; these give
-    # the t elements attached to the adjacent pairs of the dual tree
-    t_adj: dict[tuple[tuple[int, ...], tuple[int, ...]], list] = {}
-    for u in range(nf):
-        lab = label_of_face[u]
-        cyc = oriented[u]
-        items = list(cyc)
-        if lab != ():
-            items = items[1:]  # drop the parent-edge dart
-        segments = [[]]
-        child_pos = 0
-        for d, eps in items:
-            e = m.edge_of(d)
-            if e in dual:
-                segments.append([])
-                child_pos += 1
-            else:
-                s = sym_of_dart(d)
-                if s is not None:
-                    segments[-1].append(s)
-        if child_pos != len(children[u]):
-            raise MapError("face cycle does not match its dual-tree degree")
-        parent_lab = lab[:-1] if lab != () else ()
-        t_adj[lab, parent_lab] = _inv_sym(segments[0])
-        for j in range(1, child_pos + 1):
-            t_adj[lab, lab + (j,)] = _inv_sym(segments[j])
-
-    def t_path(x: tuple[int, ...], y: tuple[int, ...]) -> list:
-        # product of adjacent t's along the unique tree path from x to y
-        k = 0
-        while k < min(len(x), len(y)) and x[k] == y[k]:
-            k += 1
-        out = []
-        cur = x
-        while len(cur) > k:
-            out += t_adj[cur, cur[:-1]]
-            cur = cur[:-1]
-        for j in range(k, len(y)):
-            out += t_adj[cur, cur + (y[j],)]
-            cur = cur + (y[j],)
-        return out
-
-    order = sorted(label_of_face.values(), key=cmp_to_key(_label_cmp))
-    # tail conjugators s_i = t_{u_i,u_{i+1}} ... t_{u_f,root} t_{root,parent}
-    tails: list[list] = [None] * nf
-    cur = t_path(order[-1], ()) + list(t_adj[(), ()])
-    for i in range(nf - 1, -1, -1):
-        tails[i] = list(cur)
-        if i > 0:
-            cur = t_path(order[i - 1], order[i]) + cur
-    V = _inv_sym(cur)  # cur is now the full chain t_{u_1,u_2} ... t_{root,parent}
-
     # sanity on letter multiplicities
-    from collections import Counter
-
     counts = Counter(e for e, _ in V)
     for e in r_edges:
         if counts[e] != 2:
@@ -497,31 +437,22 @@ def tame_generators(m: RibbonMap, base: int = 0) -> TameGenerators:
     c_meta = []
     for i, (e, s) in enumerate(betas):
         tail = [x for chunk in t_chunks[i + 1:] for x in chunk]
-        tail_w = _word_of_letters(m, lassos, tail, base)
         beta_w = lassos[e] if s == 1 else inverse(m, lassos[e])
-        c_words.append(reduce_word(m, concat(
-            m, inverse(m, tail_w), beta_w, tail_w)))
+        c_words.append(_conjugate(
+            m, beta_w, _word_of_letters(m, lassos, tail, base)))
         c_meta.append((circuit_of_b[e], s))
 
-    l_words = []
-    conjs = []
-    cycles = []
-    face_of_l = []
-    for i, lab in enumerate(order):
-        u = face_of_label[lab]
-        s_i = _word_of_letters(m, lassos, tails[i], base)
-        cyc_word = _concat_all(
-            m, [lasso(m, tree, d, base, up) for d, _ in oriented[u]], base)
-        l_words.append(reduce_word(m, concat(
-            m, inverse(m, s_i), cyc_word, s_i)))
-        conjs.append(s_i)
-        cycles.append(tuple(oriented[u]))
-        face_of_l.append(u)
-
+    # the facial lassos in the reverse of the order their cycles closed
+    order = closed[::-1]
+    conjs = [_word_of_letters(m, lassos, _inv_sym(V[:k]), base)
+             for _, _, k in order]
+    l_words = [_conjugate(m, _lasso_product(m, tree, up, cyc, base), s_i)
+               for (_, cyc, _), s_i in zip(order, conjs)]
     out = TameGenerators(
         base=base, a=a_words, c=c_words, c_meta=c_meta,
-        l=l_words, face_of_l=face_of_l, w=w_letters, cycles=cycles,
-        conj=conjs, tree=frozenset(tree),
+        l=l_words, face_of_l=[u for u, _, _ in order], w=w_letters,
+        cycles=[cyc for _, cyc, _ in order], conj=conjs,
+        tree=frozenset(tree),
     )
     if out.relation_word(m).darts:
         raise MapError("tame relation did not reduce to the empty word")
@@ -585,50 +516,29 @@ def refine_generators(
     if roles is None:
         raise MapError("sub-faces do not assemble back into the coarse face")
     cut, first, second = roles
-    return _assemble_refined(tame, fine, split_position, C, cut, first,
-                             second)
-
-
-def _assemble_refined(tame, fine, split_position, C, cut, first,
-                      second) -> TameGenerators:
-    base = tame.base
-    # lassos on the fine map reuse the coarse spanning tree (no new vertex)
-    tree = tame.tree
+    base, tree = tame.base, tame.tree
+    # lassos on the fine map reuse the coarse spanning tree (no new vertex);
+    # each sub-face's product, read from the cut, is conjugated into place
+    # by x^-1 s_i, x being the stretch of C before the cut
     up = _tree_climb(fine, tree, base)
-    x = _concat_all(
-        fine, [lasso(fine, tree, d, base, up) for d, _ in C[:cut]], base)
-    lam_first = reduce_word(fine, concat(
-        fine, x,
-        _concat_all(fine, [lasso(fine, tree, d, base, up) for d, _ in first],
-                    base),
-        inverse(fine, x)))
-    lam_second = reduce_word(fine, concat(
-        fine, x,
-        _concat_all(fine, [lasso(fine, tree, d, base, up) for d, _ in second],
-                    base),
-        inverse(fine, x)))
-    s_i = tame.conj[split_position]
-    def conj(word):
-        return reduce_word(fine, concat(fine, inverse(fine, s_i), word, s_i))
-    l1, l2 = conj(lam_first), conj(lam_second)
-    check = reduce_word(fine, concat(
-        fine, l1, l2, inverse(fine, tame.l[split_position])))
-    if check.darts:
+    x = _lasso_product(fine, tree, up, C[:cut], base)
+    s_i = reduce_word(fine, concat(
+        fine, inverse(fine, x), tame.conj[split_position]))
+    l1, l2 = (_conjugate(fine, _lasso_product(fine, tree, up, half, base), s_i)
+              for half in (first, second))
+    if reduce_word(fine, concat(
+            fine, l1, l2, inverse(fine, tame.l[split_position]))).darts:
         raise MapError("refined facial lassos do not multiply to the old one")
     home = faces(fine).home
-    new_conj_first = reduce_word(fine, concat(fine, inverse(fine, x), s_i))
-    l_list = list(tame.l)
-    l_list[split_position:split_position + 1] = [l1, l2]
-    faces_list = list(tame.face_of_l)
-    faces_list[split_position:split_position + 1] = [
-        home[first[0]], home[second[0]]]
-    cycles = list(tame.cycles)
-    cycles[split_position:split_position + 1] = [tuple(first), tuple(second)]
-    conjs = list(tame.conj)
-    conjs[split_position:split_position + 1] = [new_conj_first, new_conj_first]
+    at = slice(split_position, split_position + 1)
+    l_list, faces_list = list(tame.l), list(tame.face_of_l)
+    cycles, conjs = list(tame.cycles), list(tame.conj)
+    l_list[at] = [l1, l2]
+    faces_list[at] = [home[first[0]], home[second[0]]]
+    cycles[at] = [tuple(first), tuple(second)]
+    conjs[at] = [s_i, s_i]
     return TameGenerators(
         base=base, a=tame.a, c=tame.c,
         c_meta=tame.c_meta, l=l_list, face_of_l=faces_list, w=tame.w,
         cycles=cycles, conj=conjs, tree=tree,
     )
-
