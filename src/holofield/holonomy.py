@@ -100,17 +100,23 @@ class _GaugeFixed:
     forced: list[tuple[int, list[tuple[int, bool]]]]
     targets: list[list[int]]
     count: int
+    # per face: its compiled word and the heat kernel at its area, which
+    # weight each configuration (none for the uniform measure)
+    words: list[tuple[tuple, np.ndarray]]
 
 
 def _gauge_fixed(G: FiniteGroup, m: RibbonMap, C: GConstraints,
                  classes: ConjugacyClassTable | None,
-                 cap: float = math.inf) -> _GaugeFixed:
+                 cap: float = math.inf,
+                 hk: HeatKernel | None = None) -> _GaugeFixed:
     """The constrained uniform measure is invariant under gauges, which
     conjugate every cycle holonomy, and the gauges fixing any one vertex
     move each configuration to exactly one with the edges of a spanning
     tree at the identity. The tree avoids each cycle's forced edge:
     dropping one edge from each of edge-disjoint cycles leaves the graph
-    connected."""
+    connected. With a heat kernel, the face words that weight each
+    configuration by the field density are compiled too."""
+    words = _face_words(m, hk) if hk is not None else []
     if classes is None:
         classes = conjugacy_classes(G)
     forced, targets = [], []
@@ -127,21 +133,18 @@ def _gauge_fixed(G: FiniteGroup, m: RibbonMap, C: GConstraints,
     count = G.n ** len(free) * math.prod(len(t) for t in targets)
     if count > cap:
         raise CapExceeded(f"{count} configurations exceed the cap {cap}")
-    return _GaugeFixed(free, forced, targets, count)
+    return _GaugeFixed(free, forced, targets, count, words)
 
 
-def _weighted(G: FiniteGroup, m: RibbonMap, C: GConstraints,
-              hk: HeatKernel | None, classes: ConjugacyClassTable | None,
-              cap: int, extra=(), rows=None):
+def _weighted(G: FiniteGroup, m: RibbonMap, fixed: _GaugeFixed, extra=(),
+              rows=None):
     """Blocks of the gauge-fixed configurations in their product order, or
     of the rows with the given indices, each with its row weights: 1/count,
     times the product over faces of the heat kernel at the facial holonomy
-    when a heat kernel is given. A block is an integer array whose row e
-    holds edge e's values (zero off the free and forced edges); rows
+    when the face words are compiled. A block is an integer array whose
+    row e holds edge e's values (zero off the free and forced edges); rows
     n_darts onward hold the cycle targets, then the letters of the extra
     alphabets, enumerated innermost."""
-    words = _face_words(m, hk) if hk is not None else []
-    fixed = _gauge_fixed(G, m, C, classes, cap)
     k = len(fixed.free)
     alphabets = [range(G.n)] * k + fixed.targets + list(extra)
     for block in _product_blocks(alphabets, rows):
@@ -152,7 +155,7 @@ def _weighted(G: FiniteGroup, m: RibbonMap, C: GConstraints,
         for e, word in fixed.forced:
             config[e] = holonomy_of_steps(G, word, config)
         w = np.ones(block.shape[1])
-        for steps, q in words:
+        for steps, q in fixed.words:
             w = w * q[holonomy_of_steps(G, steps, config)]
         yield config, 1.0 / fixed.count * w
 
@@ -170,7 +173,7 @@ def constrained_configurations(G: FiniteGroup, m: RibbonMap, C: GConstraints,
     invariant under gauges that fix one vertex (any one): the face-weight
     product, and holonomies of loops all based at that vertex."""
     edges = m.edges()
-    for config, w in _weighted(G, m, C, None, classes, cap):
+    for config, w in _weighted(G, m, _gauge_fixed(G, m, C, classes, cap)):
         for values, x in zip(config[edges].T.tolist(), w.tolist()):
             yield dict(zip(edges, values)), x
 
@@ -203,8 +206,9 @@ def partition_graph(G: FiniteGroup, m: RibbonMap, C: GConstraints,
                     hk: HeatKernel, classes=None, cap: int = DEFAULT_CAP) -> float:
     """Partition function over edge configurations:
     Z = E[prod_F Q_{t_F}(h(dF))] under the constrained uniform measure."""
+    fixed = _gauge_fixed(G, m, C, classes, cap, hk)
     return math.fsum(itertools.chain.from_iterable(
-        w.tolist() for _, w in _weighted(G, m, C, hk, classes, cap)))
+        w.tolist() for _, w in _weighted(G, m, fixed)))
 
 
 def _word_law(G: FiniteGroup, orientable: bool, genus: int) -> ClassMeasure:
@@ -360,7 +364,8 @@ def marginal_generators(G: FiniteGroup, m: RibbonMap, C: GConstraints,
     share = 1.0 / math.prod(len(j) for j in gauges)
 
     def blocks():
-        for config, w in _weighted(G, m, C, hk, classes, cap, gauges):
+        fixed = _gauge_fixed(G, m, C, classes, cap, hk)
+        for config, w in _weighted(G, m, fixed, gauges):
             keys = [holonomy_of_steps(G, s, config) for s in steps]
             yield np.reshape(keys, (len(steps), len(w))), w * share
 
@@ -388,10 +393,14 @@ def sample_df(G: FiniteGroup, m: RibbonMap, C: GConstraints, hk: HeatKernel,
     gauge-fixed configurations, at most cap of them, each draw moved by an
     independent uniform gauge so that it follows the full field law."""
     rng = random.Random(seed)
-    # the running sum of the weights, added in row order; the drawn rows
-    # are rebuilt from their indices
-    cumulative = np.concatenate(
-        [w for _, w in _weighted(G, m, C, hk, classes, cap)])
+    # the running sum of the weights, added in row order in one array of
+    # count floats; the drawn rows are rebuilt from their indices
+    fixed = _gauge_fixed(G, m, C, classes, cap, hk)
+    cumulative = np.empty(fixed.count)
+    lo = 0
+    for _, w in _weighted(G, m, fixed):
+        cumulative[lo:lo + len(w)] = w
+        lo += len(w)
     np.cumsum(cumulative, out=cumulative)
     draws = [(rng.random(), {v: rng.randrange(G.n)
                              for v in range(m.n_vertices)})
@@ -399,7 +408,7 @@ def sample_df(G: FiniteGroup, m: RibbonMap, C: GConstraints, hk: HeatKernel,
     rows = np.searchsorted(cumulative, [u * cumulative[-1] for u, _ in draws])
     edges = m.edges()
     drawn = (dict(zip(edges, values))
-             for config, _ in _weighted(G, m, C, None, classes, cap, rows=rows)
+             for config, _ in _weighted(G, m, fixed, rows=rows)
              for values in config[edges].T.tolist())
     out = [gauge_transform(G, m, config, j)
            for config, (_, j) in zip(drawn, draws)]

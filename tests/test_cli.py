@@ -1,5 +1,7 @@
 """Command line interface: commands, formats, determinism, exit codes."""
 
+import csv
+import io
 import json
 
 import pytest
@@ -202,6 +204,51 @@ def test_csv_format(files, capsys):
     assert "pass" in lines[0]
 
 
+@pytest.mark.parametrize("suite,names", [
+    ("semigroup", ["Q_0.3 * Q_1 = Q_1.3", "Q_0.7 * Q_1 = Q_1.7",
+                   "series = characters"]),
+    ("kappa-eta", ["kappa * eta = kappa^3"]),
+    ("tame", ["joint generator law = closed form"]),
+])
+def test_density_checks_report_no_placeholder_sides(files, capsys, suite,
+                                                     names):
+    """A case comparing two densities entry by entry has no single lhs and
+    rhs: it reports max_abs_diff and pass only, and its CSV cells for lhs
+    and rhs stay empty."""
+    argv = ["verify", suite, "--group", files["s3"],
+            "--levy", files["levy_s3"]]
+    code, doc = run_json(capsys, argv)
+    assert code == 0
+    cases = {c["case"]: c for c in doc["cases"]}
+    for name in names:
+        assert set(cases[name]) == {"case", "max_abs_diff", "pass"}
+    assert all("lhs" in c and "rhs" in c
+               for name, c in cases.items() if name not in names)
+    assert run(argv + ["--format", "csv"]) == 0
+    rows = csv.DictReader(io.StringIO(capsys.readouterr().out))
+    for row in rows:
+        if row["case"] in names:
+            assert row.get("lhs", "") == row.get("rhs", "") == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "semigroup", "--time", "inf"],
+    ["partition", "--time", "inf"],
+    ["verify", "semigroup", "--tol", "nan"],
+    ["partition", "--time", "nan"],
+    ["cover", "mass", "--tail-tol", "inf"],
+], ids=" ".join)
+def test_non_finite_inputs_are_input_errors(files, capsys, argv):
+    """A non-finite --time, --tol or --tail-tol is rejected before any
+    work, with exit code 2 and nothing on stdout."""
+    code = run(argv + ["--group", files["s3"], "--surface", files["torus"],
+                       "--levy", files["levy_s3"]])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "must be finite" in captured.err
+
+
 def test_bad_group_file_is_input_error(files, capsys):
     assert run(["group-info", "--group", files["broken"]]) == 2
 
@@ -306,3 +353,11 @@ def test_cli_snapshot_records_runs(tmp_path, monkeypatch):
         [(a, 0, "") for a in argvs]
     assert json.loads(records[0]["stdout"])["order"] == 6
     assert json.loads(records[1]["stdout"])["command"] == "faces"
+    # an error run reads a bad file the tool writes, and its exit code and
+    # stderr are recorded
+    tool.write_bad_inputs(str(tmp_path))
+    argv = ["group-info", "--group", "group_unknown.json"]
+    assert argv in tool.ERROR_RUNS
+    [record] = tool.snapshot(repo, str(tmp_path), [argv])
+    assert (record["exit"], record["stdout"], record["stderr"]) == \
+        (2, "", "error: bad group file: unknown builtin group 'S7'\n")

@@ -2,6 +2,7 @@
 and configuration sums that span several enumeration blocks."""
 
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -137,6 +138,22 @@ def test_sums_across_block_seams():
             h = holonomy_of_word(G, m, config,
                                  EdgeWord(m.vertex_of(circ[0]), circ))
             assert classes.class_of[h] == c
+
+
+def test_sample_df_memory_is_one_float_per_configuration(monkeypatch):
+    """The running sum of the weights is one preallocated float array, so
+    the peak allocation stays under 12 bytes per gauge-fixed configuration
+    (a list of block arrays joined into a copy takes about 16)."""
+    spec, m = seven_letter_map()
+    C = GConstraints(spec.constraints)
+    monkeypatch.setattr(loops, "_BLOCK", 1000)
+    tracemalloc.start()
+    try:
+        sample_df(G, m, C, HK, seed=5, count=4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 279_936
 
 
 def test_block_size_leaves_results_unchanged(monkeypatch):

@@ -10,8 +10,12 @@ their snapshots are byte-identical (``cmp A.json B.json``).
 The set: for seeds 201 and 202 and each of S3, Q8 and D4, the benchmark's
 16 cli commands (``bench/cli_jobs._commands``) on the input files its
 ``write_inputs`` writes, three verify suites with ``--format csv`` and
-``verify surgery --time 0``: 120 runs.  The input files are written with
-this checkout's ``holofield``, so every snapshot reads the same files.
+``verify surgery --time 0``: 120 runs.  Then 23 error runs on seed 201's
+files and the bad input files this tool writes itself (``BAD_INPUTS``):
+rejected options, missing, malformed and invalid input files, non-finite
+numbers, inadmissible jump measures (exit 2), cap exits (exit 3) and a
+failing verification (exit 1): 143 runs.  The input files are written
+with this checkout's ``holofield``, so every snapshot reads the same files.
 """
 
 from __future__ import annotations
@@ -46,9 +50,72 @@ def commands(seed: int) -> list[list[str]]:
     return out
 
 
+# Files no run may accept: one that is not JSON, and JSON that describes
+# no group, Levy measure, surface or map
+BAD_INPUTS = {
+    "malformed.json": '{"kind": "builtin"',
+    "group_unknown.json": {"kind": "builtin", "name": "S7"},
+    "group_table.json": {"kind": "table", "order": 2,
+                         "table": [[0, 1], [0, 1]]},
+    "levy_label.json": {"rates": {"(0 1)": 1.0}},
+    "levy_nonadmissible.json": {"rates": {"120": 1.0}},
+    "levy_zero.json": {"rates": {}},
+    "surface_odd.json": {"orientable": True, "genus": 1, "area": 1.0},
+    "map_invalid.json": {"darts": 4, "alpha": [[0, 1], [2, 2]],
+                         "sigma": {"0": [0, 1, 2, 3]}},
+}
+
+_S3 = ["--group", "group_S3.json", "--levy", "levy_S3.json"]
+_TORUS = _S3 + ["--surface", "torus.json"]
+ERROR_RUNS = [
+    # argparse rejects the option or the suite
+    ["partition", "--via", "fast"] + _TORUS,
+    ["verify", "semigroup", "--format", "xml"] + _S3,
+    ["verify", "nope"] + _S3,
+    # a missing option or input file
+    ["partition", "--levy", "levy_S3.json", "--surface", "torus.json"],
+    ["partition", "--group", "group_S3.json", "--surface", "torus.json"],
+    ["group-info", "--group", "missing.json"],
+    # malformed and invalid input files
+    ["group-info", "--group", "malformed.json"],
+    ["group-info", "--group", "group_unknown.json"],
+    ["group-info", "--group", "group_table.json"],
+    ["partition", "--group", "group_S3.json", "--levy", "malformed.json",
+     "--surface", "torus.json"],
+    ["partition", "--group", "group_S3.json", "--levy", "levy_label.json",
+     "--surface", "torus.json"],
+    ["partition", "--surface", "malformed.json"] + _S3,
+    ["partition", "--surface", "surface_odd.json"] + _S3,
+    ["faces", "--map", "malformed.json"],
+    ["faces", "--map", "map_invalid.json"],
+    # non-finite numbers
+    ["verify", "semigroup", "--time", "inf"] + _S3,
+    ["partition", "--time", "inf"] + _TORUS,
+    ["verify", "semigroup", "--tol", "nan"] + _S3,
+    # a jump measure whose support does not generate S3, and a zero one
+    ["verify", "semigroup", "--group", "group_S3.json",
+     "--levy", "levy_nonadmissible.json"],
+    ["verify", "semigroup", "--group", "group_S3.json",
+     "--levy", "levy_zero.json"],
+    # over the cap (exit 3), and a tolerance no float check meets (exit 1)
+    ["partition", "--via", "graph", "--cap", "10"] + _TORUS,
+    ["cover", "enumerate", "--k", "3", "--cap", "10"] + _TORUS,
+    ["verify", "semigroup", "--tol", "1e-300"] + _S3,
+]
+
+
+def write_bad_inputs(workdir: str) -> None:
+    """BAD_INPUTS into workdir: strings as they are, the rest as JSON."""
+    for name, content in BAD_INPUTS.items():
+        with open(os.path.join(workdir, name), "w") as fh:
+            fh.write(content if isinstance(content, str)
+                     else json.dumps(content))
+
+
 def snapshot(root: str, workdir: str, argvs: list[list[str]]) -> list[dict]:
     """One record per argv, run in workdir against ROOT/src."""
-    env = dict(os.environ,
+    # argparse wraps its usage message to COLUMNS
+    env = dict(os.environ, COLUMNS="80",
                PYTHONPATH=os.path.join(os.path.abspath(root), "src"))
     out = []
     for argv in argvs:
@@ -66,6 +133,10 @@ def main(root: str, out_path: str) -> None:
         with tempfile.TemporaryDirectory() as workdir:
             write_inputs(workdir, seed, GroupData())
             records += snapshot(root, workdir, commands(seed))
+    with tempfile.TemporaryDirectory() as workdir:
+        write_inputs(workdir, SEEDS[0], GroupData())
+        write_bad_inputs(workdir)
+        records += snapshot(root, workdir, ERROR_RUNS)
     with open(out_path, "w") as fh:
         json.dump(records, fh, indent=1)
         fh.write("\n")
