@@ -145,9 +145,8 @@ def load_group(cfg: RunConfig):
 def load_levy(cfg: RunConfig, G, classes):
     if cfg.levy is None:
         raise InputError("a Levy measure file is required (--levy)")
-    data = _read_json(cfg.levy)
     try:
-        rates = data["rates"]
+        rates = _read_json(cfg.levy)["rates"]
         return jump_measure_from_class_rates(G, rates, classes)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad Levy file: {exc}") from exc
@@ -156,8 +155,8 @@ def load_levy(cfg: RunConfig, G, classes):
 def load_surface(cfg: RunConfig) -> SurfaceSpec:
     if cfg.surface is None:
         raise InputError("a surface file is required (--surface)")
-    data = _read_json(cfg.surface)
     try:
+        data = _read_json(cfg.surface)
         return SurfaceSpec(
             bool(data["orientable"]),
             int(data["genus"]),

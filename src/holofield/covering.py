@@ -27,6 +27,7 @@ import numpy as np
 from .groups import (
     ConjugacyClassTable,
     FiniteGroup,
+    _conj,
     conjugacy_classes,
     convolution_power,
 )
@@ -90,6 +91,29 @@ def _relation_steps(orientable: bool, genus: int, extra: int):
     return tuple((i, s == -1) for i, s in word)
 
 
+def _check_tuples(G: FiniteGroup, orientable: bool, genus: int,
+                  boundary_classes, entries) -> None:
+    """Raise ValueError unless the entries are monodromy tuples: each
+    boundary entry lies in its class, each twist is non-trivial and the
+    surface relation closes. entries is one tuple of ints, or an integer
+    array whose row i holds entry i over a block of tuples, checked whole
+    (the tables are picked as in holonomy_of_steps)."""
+    class_of = conjugacy_classes(G).class_of
+    if isinstance(entries, np.ndarray):
+        class_of = np.asarray(class_of)
+    p = len(boundary_classes)
+    # count_nonzero reduces a bool and a bool array alike
+    for x, cls in zip(entries[genus:genus + p], boundary_classes):
+        if np.count_nonzero(class_of[x] != cls):
+            raise ValueError("boundary entry outside its class")
+    for x in entries[genus + p:]:
+        if np.count_nonzero(x == 0):
+            raise ValueError("ramification entries must be non-trivial")
+    steps = _relation_steps(orientable, genus, len(entries) - genus)
+    if np.count_nonzero(holonomy_of_steps(G, steps, entries) != 0):
+        raise ValueError("tuple does not satisfy the surface relation")
+
+
 @dataclass(frozen=True)
 class MonodromyTuple:
     """A based ramified bundle: generator monodromies plus local twists."""
@@ -103,19 +127,12 @@ class MonodromyTuple:
     d: tuple[int, ...]
 
     def __post_init__(self):
-        G = self.group
         if len(self.a) != self.genus:
             raise ValueError("wrong number of genus entries")
         if len(self.c) != len(self.boundary_classes):
             raise ValueError("wrong number of boundary entries")
-        classes = conjugacy_classes(G)
-        for ci, cls in zip(self.c, self.boundary_classes):
-            if classes.class_of[ci] != cls:
-                raise ValueError("boundary entry outside its class")
-        if any(di == 0 for di in self.d):
-            raise ValueError("ramification entries must be non-trivial")
-        if self.relation_value() != 0:
-            raise ValueError("tuple does not satisfy the surface relation")
+        _check_tuples(self.group, self.orientable, self.genus,
+                      self.boundary_classes, self.entries())
 
     @property
     def k(self) -> int:
@@ -152,14 +169,13 @@ def _orbits(spec: SurfaceSpec, classes: ConjugacyClassTable):
     return [classes.elements_of(c) for c in spec.constraints]
 
 
-def enumerate_H(G: FiniteGroup, spec: SurfaceSpec, k: int,
-                classes: ConjugacyClassTable | None = None,
-                cap: int = DEFAULT_CAP) -> list[MonodromyTuple]:
-    """All monodromy tuples with exactly k ramification points. The last
-    twist is forced by the surface relation and tuples where it degenerates
-    to the identity are rejected."""
-    if classes is None:
-        classes = conjugacy_classes(G)
+def _tuple_rows(G: FiniteGroup, spec: SurfaceSpec, k: int,
+                classes: ConjugacyClassTable, cap: int):
+    """The tuples with exactly k ramification points as (entries, rows)
+    integer blocks in enumerate_H's order, each block checked whole. The
+    last twist is forced by the surface relation and rows where it
+    degenerates to the identity are dropped. The cap is checked here,
+    before the first block."""
     orbits = _orbits(spec, classes)
     g, p, free = spec.genus, spec.boundaries, max(k - 1, 0)
     size = G.n ** (g + free) * math.prod(len(o) for o in orbits)
@@ -168,35 +184,55 @@ def enumerate_H(G: FiniteGroup, spec: SurfaceSpec, k: int,
     # the last twist closes the relation: (w(a) c d_1..d_{k-1})^-1
     closing = [(i, not rev) for i, rev in
                reversed(_relation_steps(spec.orientable, g, p + free))]
-    out = []
-    for block in _product_blocks([range(G.n)] * g + orbits
-                                 + [range(1, G.n)] * free):
+
+    def close(block):
         # it must not be the identity, and with no twists the relation must
         # close by itself
         last = np.broadcast_to(holonomy_of_steps(G, closing, block),
                                block.shape[1:])
         keep = (last == 0) == (k == 0)
-        rows = np.vstack([block, last[None]]) if k else block
-        for row in rows[:, keep].T.tolist():
-            out.append(MonodromyTuple(G, spec.orientable, g,
-                                      spec.constraints, tuple(row[:g]),
-                                      tuple(row[g:g + p]),
-                                      tuple(row[g + p:])))
-    return out
+        rows = (np.vstack([block, last[None]]) if k else block)[:, keep]
+        _check_tuples(G, spec.orientable, g, spec.constraints, rows)
+        return rows
+
+    return map(close, _product_blocks([range(G.n)] * g + orbits
+                                      + [range(1, G.n)] * free))
+
+
+def _tuples_of(G: FiniteGroup, spec: SurfaceSpec, rows: np.ndarray):
+    """MonodromyTuple objects for the rows of a block _check_tuples has
+    passed, built without checking each one again."""
+    g, p = spec.genus, spec.boundaries
+    fixed = {"group": G, "orientable": spec.orientable, "genus": g,
+             "boundary_classes": spec.constraints}
+    for row in rows.T.tolist():
+        t = object.__new__(MonodromyTuple)
+        t.__dict__.update(fixed, a=tuple(row[:g]), c=tuple(row[g:g + p]),
+                          d=tuple(row[g + p:]))
+        yield t
+
+
+def enumerate_H(G: FiniteGroup, spec: SurfaceSpec, k: int,
+                classes: ConjugacyClassTable | None = None,
+                cap: int = DEFAULT_CAP) -> list[MonodromyTuple]:
+    """All monodromy tuples with exactly k ramification points."""
+    if classes is None:
+        classes = conjugacy_classes(G)
+    return [t for rows in _tuple_rows(G, spec, k, classes, cap)
+            for t in _tuples_of(G, spec, rows)]
 
 
 def aut_order(t: MonodromyTuple) -> int:
     """Order of the automorphism group of the bundle: the centralizer of
     the subgroup generated by all tuple entries."""
-    G = t.group
-    gens = t.entries()
-    return sum(1 for g in range(G.n)
-               if all(G.mul[g][x] == G.mul[x][g] for x in gens))
+    entries = list(t.entries())
+    return int(np.sum(np.all(_conj(t.group)[:, entries] == entries, axis=1)))
 
 
 def conjugation_orbits(G: FiniteGroup,
                        tuples: list[MonodromyTuple]) -> list[list[MonodromyTuple]]:
     """Orbits of the simultaneous-conjugation action, each listed once."""
+    conj = _conj(G)
     index = {t.entries(): i for i, t in enumerate(tuples)}
     seen = [False] * len(tuples)
     orbits = []
@@ -204,8 +240,8 @@ def conjugation_orbits(G: FiniteGroup,
         if seen[i]:
             continue
         orbit = []
-        for g in range(G.n):
-            j = index[tuple(G.conj(g, x) for x in t.entries())]
+        for row in conj[:, list(t.entries())].tolist():
+            j = index[tuple(row)]
             if not seen[j]:
                 seen[j] = True
                 orbit.append(tuples[j])
@@ -220,19 +256,62 @@ def counting_check(G: FiniteGroup, spec: SurfaceSpec, k: int, f,
     """Two exact evaluations of the same bundle count: sum of f over
     isomorphism classes weighted by 1/|Aut|, against the raw tuple sum
     divided by |G|. f must be constant on conjugation orbits."""
-    tuples = enumerate_H(G, spec, k, classes, cap)
-    lhs = Fraction(0)
-    for orbit in conjugation_orbits(G, tuples):
-        rep = orbit[0]
-        val = Fraction(f(rep))
-        if any(Fraction(f(t)) != val for t in orbit[1:]):
-            raise ValueError("functional is not conjugation-invariant")
-        aut = aut_order(rep)
-        lhs += val / aut
-        if len(orbit) * aut != G.n:
-            raise ValueError("orbit size inconsistent with automorphisms")
-    rhs = sum((Fraction(f(t)) for t in tuples), Fraction(0)) / G.n
-    return lhs, rhs
+    if classes is None:
+        classes = conjugacy_classes(G)
+    blocks = _tuple_rows(G, spec, k, classes, cap)
+    n = G.n
+    # each entry is keyed by its index in its own alphabet, which
+    # conjugation preserves: G for genus entries, the constrained class for
+    # boundary entries, G minus the identity for twists
+    alphabets = [range(n)] * spec.genus + _orbits(spec, classes) \
+        + [range(1, n)] * k
+    L = len(alphabets)
+    code = np.zeros((L, n), dtype=np.int64)
+    for j, alphabet in enumerate(alphabets):
+        code[j, alphabet] = np.arange(len(alphabet))
+    radices = [len(a) for a in alphabets]
+    # only the closing twist lies outside the capped enumeration
+    span = math.prod(radices)
+    assert span <= n * cap
+    if span >= 2 ** 63:
+        raise CapExceeded(f"tuple key range {span} does not fit an int64")
+    place = np.array([math.prod(radices[j + 1:]) for j in range(L)],
+                     dtype=np.int64)
+    # part[h, j * n + x]: the key part of entry j holding x, conjugated by h
+    part = (code[:, _conj(G)] * place[:, None, None]).transpose(1, 0, 2)
+    part = part.reshape(n, L * n)
+    offsets = (np.arange(L) * n)[:, None]
+    canon, aut = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    vals = []
+    for rows in blocks:
+        at = rows + offsets
+        key = part[0][at].sum(axis=0)
+        low, fixed = key.copy(), np.ones_like(key)
+        for h in range(1, n):
+            conjugate = part[h][at].sum(axis=0)
+            fixed += conjugate == key
+            np.minimum(low, conjugate, out=low)
+        canon.append(low)
+        aut.append(fixed)
+        vals += map(f, _tuples_of(G, spec, rows))
+    # ints and Fractions are summed as they are, anything else exactly
+    if not set(map(type, vals)) <= {int, Fraction}:
+        vals = [v if isinstance(v, (int, Fraction)) else Fraction(v)
+                for v in vals]
+    canon, aut = np.concatenate(canon), np.concatenate(aut)
+    _, first, orbit, size = np.unique(canon, return_index=True,
+                                      return_inverse=True, return_counts=True)
+    # a conjugate missing from the enumeration shrinks its orbit
+    if np.any(size[orbit] * aut != n):
+        raise ValueError("orbit size inconsistent with automorphisms")
+    if any(v != vals[r] for v, r in zip(vals, first[orbit].tolist())):
+        raise ValueError("functional is not conjugation-invariant")
+    # one Fraction division per automorphism order, not per orbit
+    by_aut = {}
+    for r, a in zip(first.tolist(), aut[first].tolist()):
+        by_aut[a] = by_aut.get(a, 0) + vals[r]
+    lhs = sum((Fraction(s) / a for a, s in by_aut.items()), Fraction(0))
+    return lhs, Fraction(sum(vals)) / n
 
 
 def _prefactor(G: FiniteGroup, spec: SurfaceSpec,
@@ -253,9 +332,12 @@ def bb_mass_fixed_k(G: FiniteGroup, spec: SurfaceSpec, pi: JumpMeasure,
     if classes is None:
         classes = conjugacy_classes(G)
     pi1 = pi.normalized()
-    weights = [math.prod(pi1.weights[di] for di in t.d)
-               for t in enumerate_H(G, spec, k, classes, cap)]
     exact = all(isinstance(w, (int, Fraction)) for w in pi1.weights)
+    w = np.array(pi1.weights, dtype=object if exact else float)
+    weights = []
+    for rows in _tuple_rows(G, spec, k, classes, cap):
+        d = rows[spec.genus + spec.boundaries:]
+        weights += np.prod(w[d], axis=0).tolist()
     total = sum(weights, Fraction(0)) if exact else math.fsum(weights)
     return _prefactor(G, spec, classes) * total
 

@@ -374,6 +374,7 @@ def conjugacy_classes(G: FiniteGroup) -> ConjugacyClassTable:
 
 def _conjugacy_classes(G: FiniteGroup) -> ConjugacyClassTable:
     n = G.n
+    conj = _conj(G)
     class_of = [-1] * n
     reps: list[int] = []
     sizes: list[int] = []
@@ -381,7 +382,7 @@ def _conjugacy_classes(G: FiniteGroup) -> ConjugacyClassTable:
         if class_of[x] >= 0:
             continue
         c = len(reps)
-        orbit = sorted({G.conj(g, x) for g in range(n)})
+        orbit = sorted(set(conj[:, x].tolist()))
         for y in orbit:
             class_of[y] = c
         reps.append(orbit[0])
@@ -504,6 +505,16 @@ def _tables(G: FiniteGroup, arrays: bool):
         G._derived["arrays"] = mul, np.array(G.inv, dtype=np.intp)
         G._derived["tuples"] = tuple(mul.tolist()), G.inv
     return G._derived[key]
+
+
+def _conj(G: FiniteGroup) -> np.ndarray:
+    """conj[h, x] = h x h^-1, as an index table built once per group."""
+    def build(G):
+        n = G.n
+        mul, inv = _tables(G, True)
+        h = np.arange(n)[:, None]
+        return mul[mul[h * n + np.arange(n)] * n + inv[h]]
+    return G._cached("conj", build)
 
 
 def _ldiv(G: FiniteGroup) -> np.ndarray:

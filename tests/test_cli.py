@@ -263,6 +263,27 @@ def test_malformed_json_is_input_error(files, capsys, tmp_path):
     assert run(["group-info", "--group", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("flag, kind", [("--group", "group"),
+                                        ("--levy", "Levy"),
+                                        ("--surface", "surface")])
+def test_malformed_json_names_its_file_kind(files, capsys, tmp_path, flag,
+                                            kind):
+    """A file that is not JSON, or cannot be read, exits 2 with the same
+    "bad <kind> file: " prefix under each of the three flags."""
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    paths = {"--group": files["s3"], "--levy": files["levy_s3"],
+             "--surface": files["torus"]}
+    for path, reason in ((str(bad), "is not valid JSON"),
+                         (str(tmp_path / "nope.json"), "cannot read")):
+        argv = ["cover", "mass"]
+        for f, default in paths.items():
+            argv += [f, path if f == flag else default]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bad {kind} file: ") and reason in err
+
+
 def test_cap_exit_code(files, capsys):
     code = run(["cover", "enumerate", "--k", "5", "--cap", "10",
                 "--group", files["s3"], "--surface", files["torus"],
@@ -355,7 +376,7 @@ def test_cli_snapshot_records_runs(tmp_path, monkeypatch):
     assert json.loads(records[1]["stdout"])["command"] == "faces"
     # an error run reads a bad file the tool writes, and its exit code and
     # stderr are recorded
-    tool.write_bad_inputs(str(tmp_path))
+    tool.write_extra_inputs(str(tmp_path))
     argv = ["group-info", "--group", "group_unknown.json"]
     assert argv in tool.ERROR_RUNS
     [record] = tool.snapshot(repo, str(tmp_path), [argv])

@@ -59,6 +59,9 @@ def test_monodromy_tuple_validation():
         MonodromyTuple(G, True, 0, (), (), (), (1, 1, 1))  # odd parity
     with pytest.raises(ValueError):
         MonodromyTuple(G, True, 0, (), (), (), (1, 0))  # trivial twist
+    with pytest.raises(ValueError, match="outside its class"):
+        # the identity closes the disk's relation but lies in class 0
+        MonodromyTuple(G, True, 0, (1,), (), (0,), ())
     t = MonodromyTuple(G, True, 0, (), (), (), (1, 1))
     assert t.relation_value() == 0 and t.k == 2
 
@@ -111,6 +114,61 @@ def test_counting_rejects_noninvariant_functional():
     G = build_group("S3")
     with pytest.raises(ValueError):
         counting_check(G, sphere(), 2, lambda t: t.d[0])
+
+
+# (group, orientable, genus, boundary classes, k): the S4 annulus with
+# classes of size 6 and 8, the Q8 Moebius band, the D4 one-holed torus, the
+# S3 one-holed Klein bottle and the A4 Klein bottle
+CONSTRAINED_SHAPES = {
+    "S4 annulus": ("S4", True, 0, (1, 2), 2),
+    "Q8 Moebius band": ("Q8", False, 1, (2,), 3),
+    "D4 one-holed torus": ("D4", True, 2, (1,), 2),
+    "S3 one-holed Klein bottle": ("S3", False, 2, (1,), 3),
+    "A4 Klein bottle": ("A4", False, 2, (), 2),
+}
+
+
+def constrained_shape(name):
+    gname, orientable, genus, cons, k = CONSTRAINED_SHAPES[name]
+    return (build_group(gname), SurfaceSpec(orientable, genus, len(cons),
+                                            1.0, cons), k)
+
+
+@pytest.mark.parametrize("name, ones, auts", [
+    ("S4 annulus", 44, 44),
+    ("Q8 Moebius band", 86, 186),
+    ("D4 one-holed torus", 96, 208),
+    ("S3 one-holed Klein bottle", 378, 380),
+    ("A4 Klein bottle", 122, 142),
+])
+def test_counting_on_constrained_shapes(name, ones, auts):
+    """Both sides of the count, pinned for f = 1 and f = |Aut| beyond the
+    closed Z2/S3 surfaces."""
+    G, spec, k = constrained_shape(name)
+    for f, want in ((lambda t: 1, ones), (aut_order, auts)):
+        lhs, rhs = counting_check(G, spec, k, f)
+        assert isinstance(lhs, Fraction) and lhs == rhs == Fraction(want)
+
+
+def test_counting_rejects_noninvariant_functional_on_boundary():
+    G, spec, k = constrained_shape("S4 annulus")
+    with pytest.raises(ValueError, match="conjugation-invariant"):
+        counting_check(G, spec, k, lambda t: t.c[0])
+
+
+@pytest.mark.parametrize("name, count, first, last", [
+    ("S4 annulus", 1056, (1, 3, 1, 3), (21, 20, 23, 22)),
+    ("Q8 Moebius band", 688, (0, 2, 1, 1, 3), (7, 3, 7, 7, 2)),
+    ("S3 one-holed Klein bottle", 2268, (0, 0, 1, 1, 1, 1),
+     (5, 5, 5, 5, 5, 5)),
+])
+def test_enumerate_order_is_pinned(name, count, first, last):
+    """Genus entries vary slowest, then boundary entries, then twists,
+    with the closing twist last."""
+    G, spec, k = constrained_shape(name)
+    tuples = enumerate_H(G, spec, k)
+    assert len(tuples) == count
+    assert tuples[0].entries() == first and tuples[-1].entries() == last
 
 
 def test_aut_order_is_centralizer():

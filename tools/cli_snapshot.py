@@ -10,11 +10,12 @@ their snapshots are byte-identical (``cmp A.json B.json``).
 The set: for seeds 201 and 202 and each of S3, Q8 and D4, the benchmark's
 16 cli commands (``bench/cli_jobs._commands``) on the input files its
 ``write_inputs`` writes, three verify suites with ``--format csv`` and
-``verify surgery --time 0``: 120 runs.  Then 23 error runs on seed 201's
-files and the bad input files this tool writes itself (``BAD_INPUTS``):
-rejected options, missing, malformed and invalid input files, non-finite
-numbers, inadmissible jump measures (exit 2), cap exits (exit 3) and a
-failing verification (exit 1): 143 runs.  The input files are written
+``verify surgery --time 0``: 120 runs.  Then, on seed 201's files and
+the files this tool writes itself, 2 ``cover enumerate`` runs over the
+constrained Moebius bands of ``COVER_INPUTS`` (S4 and Q8) and 23 error
+runs on ``BAD_INPUTS``: rejected options, missing, malformed and invalid
+input files, non-finite numbers, inadmissible jump measures (exit 2), cap
+exits (exit 3) and a failing verification (exit 1): 145 runs.  The input files are written
 with this checkout's ``holofield``, so every snapshot reads the same files.
 """
 
@@ -65,6 +66,23 @@ BAD_INPUTS = {
                          "sigma": {"0": [0, 1, 2, 3]}},
 }
 
+# Constrained non-orientable surfaces, where cover enumerate meets boundary
+# classes and squares in the surface word: Moebius bands with a class of
+# size 3 in S4 and of size 2 in Q8
+COVER_INPUTS = {
+    "group_S4.json": {"kind": "builtin", "name": "S4"},
+    "mobius_S4.json": {"orientable": False, "genus": 1, "boundaries": 1,
+                       "area": 1.0, "constraints": [3]},
+    "mobius_Q8.json": {"orientable": False, "genus": 1, "boundaries": 1,
+                       "area": 1.0, "constraints": [2]},
+}
+COVER_RUNS = [
+    ["cover", "enumerate", "--k", "2", "--group", "group_S4.json",
+     "--surface", "mobius_S4.json"],
+    ["cover", "enumerate", "--k", "2", "--group", "group_Q8.json",
+     "--levy", "levy_Q8.json", "--surface", "mobius_Q8.json"],
+]
+
 _S3 = ["--group", "group_S3.json", "--levy", "levy_S3.json"]
 _TORUS = _S3 + ["--surface", "torus.json"]
 ERROR_RUNS = [
@@ -104,9 +122,10 @@ ERROR_RUNS = [
 ]
 
 
-def write_bad_inputs(workdir: str) -> None:
-    """BAD_INPUTS into workdir: strings as they are, the rest as JSON."""
-    for name, content in BAD_INPUTS.items():
+def write_extra_inputs(workdir: str) -> None:
+    """COVER_INPUTS and BAD_INPUTS into workdir: strings as they are, the
+    rest as JSON."""
+    for name, content in {**COVER_INPUTS, **BAD_INPUTS}.items():
         with open(os.path.join(workdir, name), "w") as fh:
             fh.write(content if isinstance(content, str)
                      else json.dumps(content))
@@ -135,8 +154,8 @@ def main(root: str, out_path: str) -> None:
             records += snapshot(root, workdir, commands(seed))
     with tempfile.TemporaryDirectory() as workdir:
         write_inputs(workdir, SEEDS[0], GroupData())
-        write_bad_inputs(workdir)
-        records += snapshot(root, workdir, ERROR_RUNS)
+        write_extra_inputs(workdir)
+        records += snapshot(root, workdir, COVER_RUNS + ERROR_RUNS)
     with open(out_path, "w") as fh:
         json.dump(records, fh, indent=1)
         fh.write("\n")
