@@ -51,6 +51,7 @@ from .holonomy import (
     GConstraints,
     _pair,
     _require_inversion_invariant,
+    _surface_law,
     marginal_generators,
     measure_m,
 )
@@ -141,12 +142,6 @@ class MonodromyTuple:
     def entries(self) -> tuple[int, ...]:
         return self.a + self.c + self.d
 
-    def relation_value(self) -> int:
-        """w(a) c_1..c_p d_1..d_k, which must be the identity."""
-        steps = _relation_steps(self.orientable, self.genus,
-                                len(self.c) + len(self.d))
-        return holonomy_of_steps(self.group, steps, self.entries())
-
 
 @dataclass(frozen=True)
 class RamificationCounts:
@@ -227,27 +222,6 @@ def aut_order(t: MonodromyTuple) -> int:
     the subgroup generated by all tuple entries."""
     entries = list(t.entries())
     return int(np.sum(np.all(_conj(t.group)[:, entries] == entries, axis=1)))
-
-
-def conjugation_orbits(G: FiniteGroup,
-                       tuples: list[MonodromyTuple]) -> list[list[MonodromyTuple]]:
-    """Orbits of the simultaneous-conjugation action, each listed once."""
-    conj = _conj(G)
-    index = {t.entries(): i for i, t in enumerate(tuples)}
-    seen = [False] * len(tuples)
-    orbits = []
-    for i, t in enumerate(tuples):
-        if seen[i]:
-            continue
-        orbit = []
-        for row in conj[:, list(t.entries())].tolist():
-            j = index[tuple(row)]
-            if not seen[j]:
-                seen[j] = True
-                orbit.append(tuples[j])
-        if orbit:
-            orbits.append(orbit)
-    return orbits
 
 
 def counting_check(G: FiniteGroup, spec: SurfaceSpec, k: int, f,
@@ -371,7 +345,7 @@ def bb_mass(G: FiniteGroup, spec: SurfaceSpec, pi: JumpMeasure,
     _require_inversion_invariant(spec.orientable, pi)
     if t is None:
         t = spec.area
-    mu = measure_m(G, spec, classes)
+    mu = _surface_law(G, spec, classes)
     # Z = sum_x Q_t(x) m({x}), with Q_t = n sum_k P(N = k) Pi_1^{*k} the
     # series heat kernel.  Term by term this is sum_k P(N = k)
     # twist_mass_contraction(k) on the surface with every boundary class

@@ -2,14 +2,17 @@
 and the convolution algebra of conjugation-invariant measures.
 
 Everything here is exact where it can be: class measures built by counting
-(eta, kappa, delta on a class) carry Fraction weights, and convolution of
-Fraction-valued measures stays in Fraction arithmetic.  Character tables are
-floating point (complex), obtained by simultaneous diagonalization of the
-class-multiplication matrices.
+(eta, kappa, delta on a class) carry Fraction weights.  Exact weights
+convolve as integer numerators over one common denominator, in int64 while
+no sum can overflow it and in Python ints beyond, each product reduced by
+the gcd; Fractions appear only where a ClassMeasure is returned.  Character
+tables are floating point (complex), obtained by simultaneous
+diagonalization of the class-multiplication matrices.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -525,31 +528,100 @@ def _ldiv(G: FiniteGroup) -> np.ndarray:
 def _convolve(G: FiniteGroup, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(a * b)[x] = sum_y a[y] b[y^-1 x] for weight vectors indexed by
     element.  Only the rows where a is non-zero are multiplied, so sparse
-    left operands stay cheap and object arrays of Fractions stay exact."""
-    nz = np.flatnonzero(a)
-    return a[nz] @ b[_ldiv(G)[nz]]
+    left operands stay cheap.  Float vectors multiply as they are; integer
+    vectors exactly, in int64 while no sum can reach 2^63 (max|a| max|b|
+    times the rows multiplied) and in Python ints beyond."""
+    nz = a.nonzero()[0]
+    a, b = a[nz], b[_ldiv(G)[nz]]
+    if a.dtype.kind != "f" and len(nz):
+        # a zero b still needs a's own entries to fit
+        bound = int(np.abs(a).max()) * max(int(np.abs(b).max()), 1)
+        fits = bound * len(nz) < 2 ** 63
+        a = a.astype(np.int64 if fits else object, copy=False)
+        b = b.astype(a.dtype, copy=False)
+    return a @ b
 
 
-def _weights(*seqs) -> list[np.ndarray]:
-    """Weight sequences as arrays: objects when every entry is an int or a
-    Fraction, so that arithmetic stays exact, floats otherwise."""
-    exact = all(isinstance(w, (int, Fraction)) for s in seqs for w in s)
-    return [np.array(s, dtype=object if exact else float) for s in seqs]
+def _ints(values: list[int]) -> np.ndarray:
+    """Integers as an int64 array when they all fit one, else as an array
+    of Python ints."""
+    fits = max(map(abs, values)) < 2 ** 63
+    return np.array(values, dtype=np.int64 if fits else object)
+
+
+# An exact weight vector is a (numerators, denominator) pair: an integer
+# array over one positive int.
+
+
+def _exact(weights):
+    """Weights as integer numerators over the lcm of their denominators,
+    or None when some weight is neither an int nor a Fraction."""
+    if not all(isinstance(w, (int, Fraction)) for w in weights):
+        return None
+    den = math.lcm(*(w.denominator for w in weights))
+    return _ints([w.numerator * (den // w.denominator) for w in weights]), den
+
+
+def _times(G: FiniteGroup, a, b):
+    """The exact convolution a * b of two (numerators, denominator) pairs,
+    reduced by the gcd of its numerators and denominator."""
+    num = _convolve(G, a[0], b[0])
+    den = a[1] * b[1]
+    values = num.tolist()
+    g = math.gcd(den, *values)
+    # a zero vector takes g = den, which an int64 array may not hold
+    return (num // g if any(values) else num), den // g
+
+
+def _power(G: FiniteGroup, a, k: int):
+    """The exact convolution power a^{*k} of a (numerators, denominator)
+    pair; k = 0 gives the point mass at the identity."""
+    acc = _ints([1] + [0] * (G.n - 1)), 1
+    for _ in range(k):
+        acc = _times(G, acc, a)
+    return acc
+
+
+def _class_law(classes: ConjugacyClassTable, c: int):
+    """The uniform probability measure on class c as a (numerators,
+    denominator) pair: the class indicator over |C|."""
+    if not (0 <= c < classes.r):
+        raise ValueError(f"class index {c} out of range")
+    indicator = np.asarray(classes.class_of) == c
+    return indicator.astype(np.int64), classes.sizes[c]
+
+
+def _measure(G: FiniteGroup, a) -> ClassMeasure:
+    """The ClassMeasure of a (numerators, denominator) pair, with one
+    Fraction built per distinct value."""
+    num, den = a
+    values = num.tolist()
+    frac = {v: Fraction(v, den) for v in set(values)}
+    return ClassMeasure(G, tuple(map(frac.__getitem__, values)))
 
 
 def convolve(mu: ClassMeasure, nu: ClassMeasure) -> ClassMeasure:
-    """(mu * nu)({x}) = sum_y mu({y}) nu({y^-1 x})."""
+    """(mu * nu)({x}) = sum_y mu({y}) nu({y^-1 x}); exact when both
+    measures are."""
     _require_same_group(mu, nu)
-    a, b = _weights(mu.weights, nu.weights)
-    return ClassMeasure(mu.group, tuple(_convolve(mu.group, a, b).tolist()))
+    G = mu.group
+    a, b = _exact(mu.weights), _exact(nu.weights)
+    if a is not None and b is not None:
+        return _measure(G, _times(G, a, b))
+    out = _convolve(G, np.array(mu.weights, dtype=float),
+                    np.array(nu.weights, dtype=float))
+    return ClassMeasure(G, tuple(out.tolist()))
 
 
 def convolution_power(mu: ClassMeasure, k: int) -> ClassMeasure:
     """mu^{*k}; k = 0 gives the point mass at the identity."""
     G = mu.group
-    (w,) = _weights(mu.weights)
-    one = Fraction(1) if w.dtype == object else 1.0
-    acc = np.array([one] + [one * 0] * (G.n - 1), dtype=w.dtype)
+    a = _exact(mu.weights)
+    if a is not None:
+        return _measure(G, _power(G, a, k))
+    w = np.array(mu.weights, dtype=float)
+    acc = np.zeros(G.n)
+    acc[0] = 1.0
     for _ in range(k):
         acc = _convolve(G, acc, w)
     return ClassMeasure(G, tuple(acc.tolist()))
@@ -570,45 +642,37 @@ def delta_class(
     """Uniform probability measure on the conjugacy class with index c."""
     if classes is None:
         classes = conjugacy_classes(G)
-    if not (0 <= c < classes.r):
-        raise ValueError(f"class index {c} out of range")
-    size = classes.sizes[c]
-    w = [
-        Fraction(1, size) if classes.class_of[x] == c else Fraction(0)
-        for x in range(G.n)
-    ]
-    return ClassMeasure(G, tuple(w))
+    return _measure(G, _class_law(classes, c))
 
 
 def eta_measure(G: FiniteGroup) -> ClassMeasure:
     """Law of the commutator a b a^-1 b^-1 of two uniform elements; exact,
     built once per group."""
-    return G._cached("eta", _eta_measure)
-
-
-def _eta_measure(G: FiniteGroup) -> ClassMeasure:
-    n = G.n
-    mul, inv = _tables(G, True)
-    a, b = np.divmod(np.arange(n * n), n)
-    # a b a^-1 b^-1 for every pair, multiplied left to right
-    return _law_of(G, mul[mul[mul[a * n + b] * n + inv[a]] * n + inv[b]])
-
-
-def _law_of(G: FiniteGroup, values: np.ndarray) -> ClassMeasure:
-    """The exact law of an element drawn uniformly from the given list."""
-    counts = np.bincount(values, minlength=G.n).tolist()
-    return ClassMeasure(G, tuple(Fraction(c, len(values)) for c in counts))
+    return G._cached("eta", lambda G: _measure(G, _letter_law(G, True)))
 
 
 def kappa_measure(G: FiniteGroup) -> ClassMeasure:
     """Law of the square of a uniform element; exact, built once per
     group."""
-    return G._cached("kappa", _kappa_measure)
+    return G._cached("kappa", lambda G: _measure(G, _letter_law(G, False)))
 
 
-def _kappa_measure(G: FiniteGroup) -> ClassMeasure:
-    mul = _tables(G, True)[0]
-    return _law_of(G, mul[np.arange(G.n) * (G.n + 1)])
+def _letter_law(G: FiniteGroup, orientable: bool):
+    """The law of a commutator of two uniform elements (eta) when
+    orientable, of the square of one (kappa) otherwise, as a (numerators,
+    denominator) pair built once per group: counts over pairs or
+    elements."""
+    def build(G):
+        n = G.n
+        mul, inv = _tables(G, True)
+        if orientable:
+            a, b = np.divmod(np.arange(n * n), n)
+            # a b a^-1 b^-1 for every pair, multiplied left to right
+            values = mul[mul[mul[a * n + b] * n + inv[a]] * n + inv[b]]
+        else:
+            values = mul[np.arange(n) * (n + 1)]
+        return np.bincount(values, minlength=n), len(values)
+    return G._cached("commutators" if orientable else "squares", build)
 
 
 def fourier_coefficient(mu: ClassMeasure, alpha: int, ct: CharacterTable) -> complex:

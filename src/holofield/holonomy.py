@@ -19,12 +19,12 @@ from .groups import (
     ClassMeasure,
     ConjugacyClassTable,
     FiniteGroup,
+    _class_law,
+    _letter_law,
+    _measure,
+    _power,
+    _times,
     conjugacy_classes,
-    convolve,
-    convolution_power,
-    delta_class,
-    eta_measure,
-    kappa_measure,
 )
 from .levy import HeatKernel, JumpMeasure
 from .loops import (
@@ -211,12 +211,12 @@ def partition_graph(G: FiniteGroup, m: RibbonMap, C: GConstraints,
         w.tolist() for _, w in _weighted(G, m, fixed)))
 
 
-def _word_law(G: FiniteGroup, orientable: bool, genus: int) -> ClassMeasure:
-    """Law of the surface word w(a) at uniform a: eta^{*genus/2} for
-    commutators, kappa^{*genus} for squares."""
-    if orientable:
-        return convolution_power(eta_measure(G), genus // 2)
-    return convolution_power(kappa_measure(G), genus)
+def _word_law(G: FiniteGroup, orientable: bool, genus: int):
+    """Law of the surface word w(a) at uniform a, as a (numerators,
+    denominator) pair: eta^{*genus/2} for commutators, kappa^{*genus} for
+    squares."""
+    return _power(G, _letter_law(G, orientable),
+                  genus // 2 if orientable else genus)
 
 
 def measure_m(G: FiniteGroup, spec: SurfaceSpec,
@@ -224,31 +224,42 @@ def measure_m(G: FiniteGroup, spec: SurfaceSpec,
     """The invariant probability measure of a surface: commutators (through
     eta) for orientable surfaces, squares (through kappa) otherwise, then
     one class convolution per boundary."""
+    return _measure(G, _surface_law(G, spec, classes))
+
+
+def _surface_law(G: FiniteGroup, spec: SurfaceSpec,
+                 classes: ConjugacyClassTable | None = None):
+    """measure_m as a (numerators, denominator) pair."""
     if classes is None:
         classes = conjugacy_classes(G)
     return _with_boundaries(G, _word_law(G, spec.orientable, spec.genus),
                             spec.constraints, classes)
 
 
-def _with_boundaries(G: FiniteGroup, mu: ClassMeasure, constraints,
-                     classes: ConjugacyClassTable) -> ClassMeasure:
-    """mu convolved with the uniform law on each boundary class in turn."""
+def _with_boundaries(G: FiniteGroup, mu, constraints,
+                     classes: ConjugacyClassTable):
+    """The (numerators, denominator) pair mu convolved with the uniform law
+    on each boundary class in turn. A class law is central, so it stands on
+    the left, where its sparsity saves rows."""
     for c in constraints:
-        mu = convolve(mu, delta_class(G, c, classes))
+        mu = _times(G, _class_law(classes, c), mu)
     return mu
 
 
-def _pair(mu: ClassMeasure, q) -> float:
-    """sum_x q[x] mu({x}), added in element order."""
-    return float(sum(float(w) * q[x] for x, w in enumerate(mu.weights)))
+def _pair(mu, q) -> float:
+    """sum_x q[x] mu({x}) for a (numerators, denominator) pair, added in
+    element order. Each v / den is correctly rounded, as float(Fraction)
+    is."""
+    num, den = mu
+    return float(sum(v / den * q[x] for x, v in enumerate(num.tolist())))
 
 
 def partition_formula(G: FiniteGroup, spec: SurfaceSpec, hk: HeatKernel,
                       classes: ConjugacyClassTable | None = None) -> float:
     """Z = sum_x Q_t(x) m({x})."""
     _require_inversion_invariant(spec.orientable, hk.pi)
-    mu = measure_m(G, spec, classes)
-    return _pair(mu, hk.density(spec.area).values)
+    return _pair(_surface_law(G, spec, classes),
+                 hk.density(spec.area).values)
 
 
 @dataclass
@@ -282,10 +293,16 @@ def z_function(G: FiniteGroup, orientable: bool, p: int, g: int, t: float,
     if classes is None:
         classes = conjugacy_classes(G)
     _require_inversion_invariant(orientable, hk.pi)
-    base = _word_law(G, orientable, g)
     q = hk.density(t).values
-    return _tabulate(G, classes, p, lambda tup: _pair(
-        _with_boundaries(G, base, tup, classes), q))
+    # the law with each prefix of the sorted class tuples, built once
+    laws = {(): _word_law(G, orientable, g)}
+
+    def law(tup):
+        if tup not in laws:
+            laws[tup] = _with_boundaries(G, law(tup[:-1]), tup[-1:], classes)
+        return laws[tup]
+
+    return _tabulate(G, classes, p, lambda tup: _pair(law(tup), q))
 
 
 def upsilon(Z: SymmetricClassFunction) -> SymmetricClassFunction:

@@ -73,9 +73,7 @@ class JumpMeasure:
         m = self.total_rate
         if m == 0:
             raise ValueError("zero jump measure cannot be normalized")
-        if isinstance(m, Fraction) and all(
-            isinstance(w, (int, Fraction)) for w in self.measure.weights
-        ):
+        if all(isinstance(w, (int, Fraction)) for w in self.measure.weights):
             return ClassMeasure(
                 self.group, tuple(Fraction(w) / m for w in self.measure.weights)
             )

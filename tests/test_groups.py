@@ -1,13 +1,16 @@
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from holofield.covering import bb_mass
 from holofield.groups import (
     ClassDensity,
     ClassMeasure,
     GroupError,
+    _convolve,
     build_group,
     builtin_names,
     character_table,
@@ -20,6 +23,13 @@ from holofield.groups import (
     fourier_coefficient,
     kappa_measure,
 )
+from holofield.holonomy import measure_m, partition_formula, z_function
+from holofield.levy import (
+    HeatKernel,
+    heat_kernel_series,
+    jump_measure_from_class_rates,
+)
+from holofield.surface import SurfaceSpec
 
 
 def test_builtin_orders():
@@ -220,3 +230,138 @@ def test_convolution_matches_the_definition():
     dens = density_convolve(ClassDensity(G, tuple(f)), ClassDensity(G, tuple(g)))
     ref = _reference_convolution(G, f, g)
     assert max(abs(x - y / G.n) for x, y in zip(dens.values, ref)) <= 1e-15
+
+
+# Exact convolution runs on integer numerators over one denominator; these
+# check it against the defining loop in plain Fractions.
+
+
+def _fraction_chain(G, first, *rest):
+    """first * rest[0] * rest[1] * ... by the defining loop, in Fractions."""
+    out = [Fraction(w) for w in first]
+    for b in rest:
+        out = _reference_convolution(G, out, [Fraction(w) for w in b])
+    return out
+
+
+def _reference_m(G, spec):
+    """measure_m by the definition: the law of the commutator (or square)
+    counted from G.mul, genus/2 (or genus) times, then the uniform law on
+    each boundary class."""
+    classes = conjugacy_classes(G)
+    n = G.n
+    if spec.orientable:
+        values = [G.mul[G.mul[a][b]][G.mul[G.inv[a]][G.inv[b]]]
+                  for a in range(n) for b in range(n)]
+        k = spec.genus // 2
+    else:
+        values = [G.mul[a][a] for a in range(n)]
+        k = spec.genus
+    letter = [Fraction(values.count(x), len(values)) for x in range(n)]
+    laws = [letter] * k + [
+        [Fraction(classes.class_of[x] == c, classes.sizes[c])
+         for x in range(n)] for c in spec.constraints]
+    return _fraction_chain(G, [1] + [0] * (n - 1), *laws)
+
+
+def _reference_pair(weights, q):
+    """sum_x q[x] float(w_x), added in element order."""
+    return float(sum(float(w) * q[x] for x, w in enumerate(weights)))
+
+
+def test_exact_convolution_of_signed_and_zero_vectors():
+    """Signed Fraction and int vectors that are not class functions, and
+    the zero vector, also beside a denominator past 2^63."""
+    G = build_group("S4")
+    rng = random.Random(11)
+    frac = [Fraction(rng.randrange(-40, 40), rng.randrange(1, 90))
+            for _ in range(G.n)]
+    ints = [rng.randrange(-7, 8) for _ in range(G.n)]
+    huge = [Fraction(rng.randrange(-9, 10), 3 ** 41 + x) for x in range(G.n)]
+    # small numerators over a denominator past 2^63
+    tiny = [Fraction(1, 2 ** 70)] + [0] * (G.n - 1)
+    zero = [0] * G.n
+    assert not ClassMeasure(G, tuple(frac)).is_class_constant(
+        conjugacy_classes(G))
+    for a, b in [(frac, ints), (ints, frac), (ints, ints), (frac, frac),
+                 (zero, frac), (frac, zero), (zero, huge), (huge, zero),
+                 (huge, frac), (zero, tiny), (tiny, zero), (zero, zero)]:
+        out = convolve(ClassMeasure(G, tuple(a)), ClassMeasure(G, tuple(b)))
+        assert list(out.weights) == _fraction_chain(G, a, b)
+        assert all(isinstance(w, Fraction) for w in out.weights)
+    for a in (frac, ints, huge, zero):
+        for k in (0, 1, 4):
+            out = convolution_power(ClassMeasure(G, tuple(a)), k)
+            assert list(out.weights) == _fraction_chain(
+                G, [1] + [0] * (G.n - 1), *[a] * k)
+
+
+def test_exact_convolution_across_the_int64_bound():
+    """Numerators whose bound max|a| max|b| nnz sits just below 2^63 stay
+    in int64; just above it they move to Python ints, where the sums
+    exceed what int64 holds."""
+    G = build_group("S3")
+    cut = (2 ** 63 - 1) // G.n
+    for m, dtype in ((math.isqrt(cut), np.int64),
+                     (math.isqrt(cut) + 1, object)):
+        assert (m * m * G.n < 2 ** 63) == (dtype is np.int64)
+        a = [m, -m, m, m - 1, -m, m]
+        b = [-m, m, m, -m, m - 2, m]
+        assert _convolve(G, np.array(a), np.array(b)).dtype == dtype
+        out = convolve(ClassMeasure(G, tuple(a)), ClassMeasure(G, tuple(b)))
+        assert list(out.weights) == _reference_convolution(G, a, b)
+        same = [m] * G.n
+        out = convolve(ClassMeasure(G, tuple(same)),
+                       ClassMeasure(G, tuple(same)))
+        assert out.weights == (G.n * m * m,) * G.n
+    assert G.n * m * m >= 2 ** 63
+
+
+@pytest.mark.parametrize("spec", [SurfaceSpec(True, 32, 0, 1.0),
+                                  SurfaceSpec(True, 34, 2, 1.0, (3, 4)),
+                                  SurfaceSpec(False, 40, 0, 1.0),
+                                  SurfaceSpec(False, 41, 1, 1.0, (2,))])
+def test_measure_m_at_large_genus(spec):
+    """S4 at genus 32 and above: denominators past 2^63, so the chain runs
+    on Python ints, and the result is the definition's, Fraction for
+    Fraction."""
+    G = build_group("S4")
+    mu = measure_m(G, spec)
+    assert list(mu.weights) == _reference_m(G, spec)
+    assert all(isinstance(w, Fraction) for w in mu.weights)
+    assert mu.mass == 1
+    word = measure_m(G, SurfaceSpec(spec.orientable, spec.genus, 0, 1.0))
+    assert max(w.denominator for w in word.weights) >= 2 ** 63
+
+
+@pytest.mark.parametrize("gname,specs", [
+    ("A4", [SurfaceSpec(True, 0, 1, 0.8, (1,)),
+            SurfaceSpec(True, 2, 2, 0.8, (2, 3)),
+            SurfaceSpec(False, 3, 1, 1.3, (3,)),
+            SurfaceSpec(True, 10, 0, 0.4)]),
+    # numerators and denominators past 2^53, where float(v) / float(den)
+    # would round twice and miss float(Fraction) on some weights
+    ("S4", [SurfaceSpec(True, 32, 0, 0.4), SurfaceSpec(False, 41, 0, 0.4)]),
+])
+def test_pairings_equal_the_fraction_pairing(gname, specs):
+    """partition_formula, bb_mass and z_function read each v / den, which
+    rounds as float(Fraction) does: every value is == to the pairing of the
+    reference measure, not merely close."""
+    G = build_group(gname)
+    classes = conjugacy_classes(G)
+    rates = [Fraction(3, 7), Fraction(3, 7), Fraction(5, 3), Fraction(2, 9)]
+    pi = jump_measure_from_class_rates(
+        G, dict(zip(range(1, classes.r), rates)), classes)
+    hk = HeatKernel(pi, character_table(G))
+    for spec in specs:
+        ref = _reference_m(G, spec)
+        assert partition_formula(G, spec, hk, classes) == _reference_pair(
+            ref, hk.density(spec.area).values)
+        assert bb_mass(G, spec, pi, classes=classes) == _reference_pair(
+            ref, heat_kernel_series(pi, spec.area).values)
+    for orientable, g in ((True, 2), (False, 1)):
+        z = z_function(G, orientable, 2, g, 0.6, hk, classes)
+        q = hk.density(0.6).values
+        for tup, value in z.values.items():
+            spec = SurfaceSpec(orientable, g, 2, 0.6, tup)
+            assert value == _reference_pair(_reference_m(G, spec), q)

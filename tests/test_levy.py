@@ -1,8 +1,10 @@
 import math
+from fractions import Fraction
 
 import pytest
 
 from holofield.groups import (
+    ClassMeasure,
     build_group,
     builtin_names,
     character_table,
@@ -11,6 +13,7 @@ from holofield.groups import (
 )
 from holofield.levy import (
     HeatKernel,
+    JumpMeasure,
     check_admissible,
     heat_kernel_series,
     jump_measure_from_class_rates,
@@ -25,6 +28,22 @@ def test_jump_measure_rejects_identity_mass():
     G = build_group("Z2")
     with pytest.raises(ValueError):
         jump_measure_from_class_rates(G, {0: 1.0})
+
+
+def test_normalized_stays_exact_on_int_weights():
+    """Int weights total an int, and the normalized law is still exact."""
+    G = build_group("S3")
+    pi = JumpMeasure(ClassMeasure(G, (0, 1, 1, 1, 2, 2)))
+    assert pi.total_rate == 7 and isinstance(pi.total_rate, int)
+    out = pi.normalized().weights
+    assert out == (0, Fraction(1, 7), Fraction(1, 7), Fraction(1, 7),
+                   Fraction(2, 7), Fraction(2, 7))
+    assert all(isinstance(w, Fraction) for w in out)
+    mixed = JumpMeasure(ClassMeasure(G, (0, 1, 1, 1, Fraction(1, 2),
+                                         Fraction(1, 2)))).normalized()
+    assert mixed.weights[1:] == (Fraction(1, 4),) * 3 + (Fraction(1, 8),) * 2
+    floats = JumpMeasure(ClassMeasure(G, (0, 1, 1, 1, 2.0, 2.0))).normalized()
+    assert all(isinstance(w, float) for w in floats.weights)
 
 
 def test_class_rate_expansion():
