@@ -142,12 +142,12 @@ def load_group(cfg: RunConfig):
         raise InputError(f"bad group file: {exc}") from exc
 
 
-def load_levy(cfg: RunConfig, G, classes):
+def load_levy(cfg: RunConfig, G):
     if cfg.levy is None:
         raise InputError("a Levy measure file is required (--levy)")
     try:
         rates = _read_json(cfg.levy)["rates"]
-        return jump_measure_from_class_rates(G, rates, classes)
+        return jump_measure_from_class_rates(G, rates)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad Levy file: {exc}") from exc
 
@@ -270,22 +270,21 @@ def cmd_faces(cfg: RunConfig, args) -> dict:
 
 def cmd_partition(cfg: RunConfig, args) -> dict:
     G = load_group(cfg)
-    classes = conjugacy_classes(G)
-    pi = load_levy(cfg, G, classes)
+    pi = load_levy(cfg, G)
     spec = load_surface(cfg)
     hk = HeatKernel(pi, character_table(G))
-    z_formula = partition_formula(G, spec, hk, classes)
+    z_formula = partition_formula(G, spec, hk)
     m = load_map(cfg) if cfg.map is not None else standard_map(spec)
     C = GConstraints(spec.constraints)
-    z_graph = partition_graph(G, m, C, hk, classes, cap=cfg.cap)
+    z_graph = partition_graph(G, m, C, hk, cap=cfg.cap)
     lhs, rhs = (z_graph, z_formula) if cfg.via == "graph" \
         else (z_formula, z_graph)
     return {"command": "partition", **_compare(lhs, rhs, cfg.tol),
             "value": lhs, "route": cfg.via}
 
 
-# Each suite takes (cfg, hk, t) and returns its cases; the group, its
-# classes, the jump measure and the character table are read off hk.
+# Each suite takes (cfg, hk, t) and returns its cases; the group, the jump
+# measure and the character table are read off hk.
 
 
 def _suite_semigroup(cfg, hk, t):
@@ -323,10 +322,10 @@ def _suite_kappa_eta(cfg, hk, t):
 
 
 def _suite_surgery(cfg, hk, t):
-    G, classes = hk.group, hk.table.classes
+    G = hk.group
 
     def z(orientable, p, g, area):
-        return z_function(G, orientable, p, g, area, hk, classes)
+        return z_function(G, orientable, p, g, area, hk)
 
     zhalf = z(True, 1, 0, 0.5 * t)
     return [
@@ -341,11 +340,11 @@ def _suite_surgery(cfg, hk, t):
 
 
 def _suite_subdivision(cfg, hk, t):
-    G, classes = hk.group, hk.table.classes
+    G = hk.group
     cases = []
     for name, spec in (("torus", SurfaceSpec(True, 2, 0, t)),
                        ("disk", SurfaceSpec(True, 0, 1, t, (0,)))):
-        zf = partition_formula(G, spec, hk, classes)
+        zf = partition_formula(G, spec, hk)
         C = GConstraints(spec.constraints)
         m = standard_map(spec)
         variants = [("standard", m),
@@ -354,7 +353,7 @@ def _suite_subdivision(cfg, hk, t):
         if len(cyc0) >= 2:
             variants.append(("split", split_face(m, 0, 0, 1)[0]))
         for vname, mv in variants:
-            zg = partition_graph(G, mv, C, hk, classes, cap=cfg.cap)
+            zg = partition_graph(G, mv, C, hk, cap=cfg.cap)
             cases.append({"case": f"{name}/{vname} graph = formula",
                           **_compare(zg, zf, cfg.tol)})
     return cases
@@ -367,7 +366,7 @@ def _suite_tame(cfg, hk, t):
     tame = tame_generators(m2)
     gens = list(tame.a) + list(tame.c) + list(tame.l)
     pmf, _ = marginal_generators(G, m2, GConstraints(), gens, hk,
-                                 hk.table.classes, cap=cfg.cap)
+                                 cap=cfg.cap)
     g, f = len(tame.a), len(tame.l)
     areas = [m2.areas[i] for i in tame.face_of_l]
     # the relation w(a) = z_1 ... z_f, as w(a) z_f^-1 ... z_1^-1 = 1
@@ -398,8 +397,7 @@ def _suite_holo_mono(cfg, hk, t):
         specs.append(("klein", SurfaceSpec(False, 2, 0, t)))
     for name, spec in specs:
         rep = verify_holo_mono(hk.group, standard_map(spec), hk,
-                               GConstraints(), tol=cfg.tol,
-                               classes=hk.table.classes, cap=cfg.cap,
+                               GConstraints(), tol=cfg.tol, cap=cfg.cap,
                                tail_tol=cfg.tail_tol)
         cases.append({"case": f"{name} holonomy = monodromy",
                       **_holo_mono(rep)})
@@ -407,20 +405,19 @@ def _suite_holo_mono(cfg, hk, t):
 
 
 def _suite_counting(cfg, hk, t):
-    G, classes = hk.group, hk.table.classes
+    G = hk.group
     cases = []
     for name, spec in (("sphere", SurfaceSpec(True, 0, 0, t)),
                        ("torus", SurfaceSpec(True, 2, 0, t))):
         for k in range(3):
             # exact Fractions, so the two counts must agree exactly
-            lhs, rhs = counting_check(G, spec, k, lambda _: 1, classes,
-                                      cfg.cap)
+            lhs, rhs = counting_check(G, spec, k, lambda _: 1,
+                                      cap=cfg.cap)
             cases.append({"case": f"{name} k={k} counting",
                           **_compare(lhs, rhs, 0)})
-        mass = bb_mass(G, spec, hk.pi, classes=classes,
-                       tail_tol=cfg.tail_tol)
+        mass = bb_mass(G, spec, hk.pi, tail_tol=cfg.tail_tol)
         cases.append({"case": f"{name} bb_mass = partition",
-                      **_compare(mass, partition_formula(G, spec, hk, classes),
+                      **_compare(mass, partition_formula(G, spec, hk),
                                  cfg.tol)})
     return cases
 
@@ -438,13 +435,12 @@ _SUITES = {
 
 def cmd_verify(cfg: RunConfig, args) -> dict:
     G = load_group(cfg)
-    classes = conjugacy_classes(G)
-    pi = load_levy(cfg, G, classes)
+    pi = load_levy(cfg, G)
     if not check_admissible(pi).admissible:
         raise InputError(
             "jump measure is not admissible: its support must generate "
             "the whole group")
-    hk = HeatKernel(pi, character_table(G, classes))
+    hk = HeatKernel(pi, character_table(G))
     t = cfg.time if cfg.time is not None else 1.0
     cases = _SUITES[args.suite](cfg, hk, t)
     return {
@@ -461,10 +457,9 @@ def _labels(G, entries) -> list[str]:
 
 def cmd_cover_enumerate(cfg: RunConfig, args) -> dict:
     G = load_group(cfg)
-    classes = conjugacy_classes(G)
     spec = load_surface(cfg)
-    pi = load_levy(cfg, G, classes) if cfg.levy else None
-    tuples = enumerate_H(G, spec, args.k, classes, cfg.cap)
+    pi = load_levy(cfg, G) if cfg.levy else None
+    tuples = enumerate_H(G, spec, args.k, cfg.cap)
     pi1 = pi.normalized() if pi is not None else None
     rows = []
     for tp in tuples:
@@ -480,23 +475,20 @@ def cmd_cover_enumerate(cfg: RunConfig, args) -> dict:
 
 def cmd_cover_mass(cfg: RunConfig, args) -> dict:
     G = load_group(cfg)
-    classes = conjugacy_classes(G)
     spec = load_surface(cfg)
-    pi = load_levy(cfg, G, classes)
-    mass = bb_mass(G, spec, pi, classes=classes, tail_tol=cfg.tail_tol)
-    z = partition_formula(G, spec, HeatKernel(pi, character_table(G)),
-                          classes)
+    pi = load_levy(cfg, G)
+    mass = bb_mass(G, spec, pi, tail_tol=cfg.tail_tol)
+    z = partition_formula(G, spec, HeatKernel(pi, character_table(G)))
     return {"command": "cover mass", **_compare(mass, z, cfg.tol)}
 
 
 def cmd_cover_sample(cfg: RunConfig, args) -> dict:
     G = load_group(cfg)
-    classes = conjugacy_classes(G)
     spec = load_surface(cfg)
-    pi = load_levy(cfg, G, classes)
+    pi = load_levy(cfg, G)
     rows = []
     for i in range(args.count):
-        rc, tp = sample_covering(G, spec, pi, cfg.seed + i, classes)
+        rc, tp = sample_covering(G, spec, pi, cfg.seed + i)
         rows.append({"k": rc.total, "a": _labels(G, tp.a),
                      "c": _labels(G, tp.c), "d": _labels(G, tp.d)})
     return {"command": "cover sample", "count": args.count, "cases": rows,
@@ -505,14 +497,12 @@ def cmd_cover_sample(cfg: RunConfig, args) -> dict:
 
 def cmd_cover_verify(cfg: RunConfig, args) -> dict:
     G = load_group(cfg)
-    classes = conjugacy_classes(G)
     spec = load_surface(cfg)
-    pi = load_levy(cfg, G, classes)
+    pi = load_levy(cfg, G)
     m = load_map(cfg) if cfg.map is not None else standard_map(spec)
-    hk = HeatKernel(pi, character_table(G, classes))
+    hk = HeatKernel(pi, character_table(G))
     rep = verify_holo_mono(G, m, hk, GConstraints(spec.constraints),
-                           tol=cfg.tol, classes=classes, cap=cfg.cap,
-                           tail_tol=cfg.tail_tol)
+                           tol=cfg.tol, cap=cfg.cap, tail_tol=cfg.tail_tol)
     return {"command": "cover verify-holo-mono", **_holo_mono(rep)}
 
 

@@ -208,12 +208,9 @@ def _tuples_of(G: FiniteGroup, spec: SurfaceSpec, rows: np.ndarray):
 
 
 def enumerate_H(G: FiniteGroup, spec: SurfaceSpec, k: int,
-                classes: ConjugacyClassTable | None = None,
                 cap: int = DEFAULT_CAP) -> list[MonodromyTuple]:
     """All monodromy tuples with exactly k ramification points."""
-    if classes is None:
-        classes = conjugacy_classes(G)
-    return [t for rows in _tuple_rows(G, spec, k, classes, cap)
+    return [t for rows in _tuple_rows(G, spec, k, conjugacy_classes(G), cap)
             for t in _tuples_of(G, spec, rows)]
 
 
@@ -297,19 +294,17 @@ def _prefactor(G: FiniteGroup, spec: SurfaceSpec,
 
 
 def bb_mass_fixed_k(G: FiniteGroup, spec: SurfaceSpec, pi: JumpMeasure,
-                    k: int, classes: ConjugacyClassTable | None = None,
-                    cap: int = DEFAULT_CAP):
+                    k: int):
     """Mass contributed by bundles with exactly k ramification points:
     the prefactored sum over tuples of the product of normalized jump
-    probabilities of the twists. Exact when the jump rates are rational,
-    and summed with math.fsum otherwise."""
-    if classes is None:
-        classes = conjugacy_classes(G)
+    probabilities of the twists, at most DEFAULT_CAP of them. Exact when
+    the jump rates are rational, and summed with math.fsum otherwise."""
+    classes = conjugacy_classes(G)
     pi1 = pi.normalized()
     exact = all(isinstance(w, (int, Fraction)) for w in pi1.weights)
     w = np.array(pi1.weights, dtype=object if exact else float)
     weights = []
-    for rows in _tuple_rows(G, spec, k, classes, cap):
+    for rows in _tuple_rows(G, spec, k, classes, DEFAULT_CAP):
         d = rows[spec.genus + spec.boundaries:]
         weights += np.prod(w[d], axis=0).tolist()
     total = sum(weights, Fraction(0)) if exact else math.fsum(weights)
@@ -317,14 +312,12 @@ def bb_mass_fixed_k(G: FiniteGroup, spec: SurfaceSpec, pi: JumpMeasure,
 
 
 def twist_mass_contraction(G: FiniteGroup, spec: SurfaceSpec,
-                           pi: JumpMeasure, k: int,
-                           classes: ConjugacyClassTable | None = None):
+                           pi: JumpMeasure, k: int):
     """Independent route to the k-twist tuple mass: the k-fold convolution
     power of the normalized jump measure, contracted against the law of
     (w(a) c_1..c_p)^{-1}. Exact when the jump rates are rational."""
-    if classes is None:
-        classes = conjugacy_classes(G)
-    mu = measure_m(G, spec, classes)
+    classes = conjugacy_classes(G)
+    mu = measure_m(G, spec)
     pow_k = convolution_power(pi.normalized(), k)
     scale = G.n ** spec.genus * math.prod(
         classes.sizes[c] for c in spec.constraints)
@@ -467,22 +460,19 @@ def verify_holo_mono(G: FiniteGroup, m: RibbonMap, hk: HeatKernel,
                      C: GConstraints | None = None,
                      tame: TameGenerators | None = None,
                      tol: float = 1e-9,
-                     classes: ConjugacyClassTable | None = None,
                      cap: int = DEFAULT_CAP,
                      tail_tol: float = DEFAULT_TAIL_TOL) -> HoloMonoReport:
     """Check that the generator law of the holonomy field (characters
     allowed) matches the monodromy law of the weighted random covering
     (series only) on the same map."""
-    if classes is None:
-        classes = conjugacy_classes(G)
     if C is None:
         C = GConstraints()
     if tame is None:
         tame = tame_generators(m)
     gens = list(tame.a) + list(tame.c) + list(tame.l)
-    hf_pmf, hf_total = marginal_generators(G, m, C, gens, hk, classes, cap)
-    mf_pmf, mf_total = monodromy_marginal(G, m, tame, hk.pi, C, classes,
-                                          tail_tol)
+    hf_pmf, hf_total = marginal_generators(G, m, C, gens, hk, cap=cap)
+    mf_pmf, mf_total = monodromy_marginal(G, m, tame, hk.pi, C,
+                                          tail_tol=tail_tol)
     diff = 0.0
     for key in set(hf_pmf) | set(mf_pmf):
         diff = max(diff, abs(hf_pmf.get(key, 0.0) - mf_pmf.get(key, 0.0)))

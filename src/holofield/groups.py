@@ -124,10 +124,12 @@ class ClassMeasure:
     def mass(self):
         return sum(self.weights)
 
-    def is_class_constant(self, classes: ConjugacyClassTable, tol=1e-12) -> bool:
+    def is_class_constant(self) -> bool:
+        """Whether the weights agree, to 1e-12, on each conjugacy class."""
+        classes = conjugacy_classes(self.group)
         for c in range(classes.r):
             vals = [self.weights[x] for x in classes.elements_of(c)]
-            if any(abs(v - vals[0]) > tol for v in vals):
+            if any(abs(v - vals[0]) > 1e-12 for v in vals):
                 return False
         return True
 
@@ -244,57 +246,25 @@ def _from_permutations(perms: list[tuple[int, ...]], labels, name) -> FiniteGrou
     return _from_table(mul.tolist(), labels, name=name)
 
 
-def _symmetric(k: int, name: str) -> FiniteGroup:
-    from itertools import permutations
+def _permutations(k: int, name: str, even: bool = False) -> FiniteGroup:
+    """The permutations of k points in lexicographic order (the identity
+    first), or only the even ones: those with an even number of
+    inversions."""
+    from itertools import combinations, permutations
 
-    pts = tuple(range(k))
-    perms = sorted(permutations(pts))
-    perms.remove(pts)
-    perms.insert(0, pts)
-    labels = ["".join(str(x) for x in p) for p in perms]
-    return _from_permutations(perms, labels, name)
-
-
-def _alternating(k: int, name: str) -> FiniteGroup:
-    from itertools import permutations
-
-    def parity(p):
-        seen = [False] * len(p)
-        sign = 1
-        for i in range(len(p)):
-            if seen[i]:
-                continue
-            j, ln = i, 0
-            while not seen[j]:
-                seen[j] = True
-                j = p[j]
-                ln += 1
-            if ln % 2 == 0:
-                sign = -sign
-        return sign
-
-    pts = tuple(range(k))
-    perms = sorted(p for p in permutations(pts) if parity(p) == 1)
-    perms.remove(pts)
-    perms.insert(0, pts)
+    perms = [p for p in permutations(range(k))
+             if not even or sum(a > b for a, b in combinations(p, 2)) % 2 == 0]
     labels = ["".join(str(x) for x in p) for p in perms]
     return _from_permutations(perms, labels, name)
 
 
 def _dihedral4() -> FiniteGroup:
-    # symmetries of the square: r = rotation by 90deg, s = reflection
-    # elements: e, r, r2, r3, s, rs, r2s, r3s
+    # symmetries of the square: r^i s^j acts on the corners as
+    # x -> (-1)^j x + i (mod 4); elements e, r, r2, r3, s, rs, r2s, r3s
+    perms = [tuple(((-1) ** j * x + i) % 4 for x in range(4))
+             for j in range(2) for i in range(4)]
     labels = ["e", "r", "r2", "r3", "s", "rs", "r2s", "r3s"]
-
-    def mul(a, b):
-        ia, sa = a % 4, a // 4
-        ib, sb = b % 4, b // 4
-        if sa == 0:
-            return ((ia + ib) % 4) + 4 * sb
-        return ((ia - ib) % 4) + 4 * (1 - sb)
-
-    table = [[mul(a, b) for b in range(8)] for a in range(8)]
-    return _from_table(table, labels, name="D4")
+    return _from_permutations(perms, labels, "D4")
 
 
 def _quaternion8() -> FiniteGroup:
@@ -331,9 +301,9 @@ _BUILTINS = {
     "Z3": lambda: _cyclic(3),
     "Z4": lambda: _cyclic(4),
     "Z6": lambda: _cyclic(6),
-    "S3": lambda: _symmetric(3, "S3"),
-    "S4": lambda: _symmetric(4, "S4"),
-    "A4": lambda: _alternating(4, "A4"),
+    "S3": lambda: _permutations(3, "S3"),
+    "S4": lambda: _permutations(4, "S4"),
+    "A4": lambda: _permutations(4, "A4", even=True),
     "D4": _dihedral4,
     "Q8": _quaternion8,
 }
@@ -477,14 +447,14 @@ def character_table(
     )
 
 
-def _check_orthogonality(ct: CharacterTable, tol=1e-9) -> None:
+def _check_orthogonality(ct: CharacterTable) -> None:
     r = ct.r
     n = ct.group.n
     sizes = np.array(ct.classes.sizes)
     gram = (ct.table * sizes) @ ct.table.conj().T
-    if not np.allclose(gram, n * np.eye(r), atol=tol * n):
+    if not np.allclose(gram, n * np.eye(r), atol=1e-9 * n):
         raise CharacterTableError("row orthogonality check failed")
-    if abs(sum(d * d for d in ct.dims) - n) > tol * n:
+    if abs(sum(d * d for d in ct.dims) - n) > 1e-9 * n:
         raise CharacterTableError("sum of squared dimensions != |G|")
 
 
@@ -636,13 +606,9 @@ def density_convolve(f: ClassDensity, g: ClassDensity) -> ClassDensity:
     return ClassDensity(G, tuple(out.tolist()))
 
 
-def delta_class(
-    G: FiniteGroup, c: int, classes: ConjugacyClassTable | None = None
-) -> ClassMeasure:
+def delta_class(G: FiniteGroup, c: int) -> ClassMeasure:
     """Uniform probability measure on the conjugacy class with index c."""
-    if classes is None:
-        classes = conjugacy_classes(G)
-    return _measure(G, _class_law(classes, c))
+    return _measure(G, _class_law(conjugacy_classes(G), c))
 
 
 def eta_measure(G: FiniteGroup) -> ClassMeasure:

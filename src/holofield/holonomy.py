@@ -160,20 +160,19 @@ def _weighted(G: FiniteGroup, m: RibbonMap, fixed: _GaugeFixed, extra=(),
         yield config, 1.0 / fixed.count * w
 
 
-def constrained_configurations(G: FiniteGroup, m: RibbonMap, C: GConstraints,
-                               classes: ConjugacyClassTable,
-                               cap: int = DEFAULT_CAP):
+def constrained_configurations(G: FiniteGroup, m: RibbonMap, C: GConstraints):
     """Iterate (config, probability weight) pairs, one per gauge orbit of
     the uniform measure with constraints: edges of a spanning tree at the
     identity, the other free edges uniform, one edge per constrained cycle
     forced so the cycle holonomy is uniform on its class. There are
-    n^(E - V + 1 - #cycles) prod |C_i| of them, each of weight 1/count.
+    n^(E - V + 1 - #cycles) prod |C_i| of them, each of weight 1/count,
+    and at most DEFAULT_CAP.
 
     The mixture reproduces the uniform measure only for functionals
     invariant under gauges that fix one vertex (any one): the face-weight
     product, and holonomies of loops all based at that vertex."""
     edges = m.edges()
-    for config, w in _weighted(G, m, _gauge_fixed(G, m, C, classes, cap)):
+    for config, w in _weighted(G, m, _gauge_fixed(G, m, C, None, DEFAULT_CAP)):
         for values, x in zip(config[edges].T.tolist(), w.tolist()):
             yield dict(zip(edges, values)), x
 
@@ -219,12 +218,11 @@ def _word_law(G: FiniteGroup, orientable: bool, genus: int):
                   genus // 2 if orientable else genus)
 
 
-def measure_m(G: FiniteGroup, spec: SurfaceSpec,
-              classes: ConjugacyClassTable | None = None) -> ClassMeasure:
+def measure_m(G: FiniteGroup, spec: SurfaceSpec) -> ClassMeasure:
     """The invariant probability measure of a surface: commutators (through
     eta) for orientable surfaces, squares (through kappa) otherwise, then
     one class convolution per boundary."""
-    return _measure(G, _surface_law(G, spec, classes))
+    return _measure(G, _surface_law(G, spec))
 
 
 def _surface_law(G: FiniteGroup, spec: SurfaceSpec,
@@ -336,27 +334,6 @@ def beta2(Z1: SymmetricClassFunction, Z2: SymmetricClassFunction) -> SymmetricCl
         for z in range(G.n)) / G.n)
 
 
-def _tally(blocks) -> dict[tuple[int, ...], float]:
-    """Sum weights by key over (keys, weights) blocks, column j of keys
-    being row j's key. Each key's weights are added in row order, as a dict
-    updated row by row would add them: the sums of the keys seen so far
-    lead each block into bincount, which adds in input order."""
-    keys = sums = None
-    for k, w in blocks:
-        if keys is not None:
-            k, w = np.hstack([keys, k]), np.concatenate([sums, w])
-        # sort the columns and number each run of equal ones (the zero row
-        # serves keys with no entries)
-        order = np.lexsort([np.zeros(k.shape[1]), *k])
-        first = np.ones(k.shape[1], dtype=bool)
-        first[1:] = (np.diff(k[:, order]) != 0).any(axis=0)
-        ids = np.empty(k.shape[1], dtype=np.intp)
-        ids[order] = np.cumsum(first) - 1
-        keys, sums = k[:, order[first]], np.bincount(ids, weights=w)
-    return {} if keys is None else dict(
-        zip(map(tuple, keys.T.tolist()), sums.tolist()))
-
-
 def marginal_generators(G: FiniteGroup, m: RibbonMap, C: GConstraints,
                         gens: list[EdgeWord], hk: HeatKernel | None = None,
                         classes: ConjugacyClassTable | None = None,
@@ -380,13 +357,14 @@ def marginal_generators(G: FiniteGroup, m: RibbonMap, C: GConstraints,
     gauges = [[0] if v == gens[0].base else range(G.n) for v in at]
     share = 1.0 / math.prod(len(j) for j in gauges)
 
-    def blocks():
-        fixed = _gauge_fixed(G, m, C, classes, cap, hk)
-        for config, w in _weighted(G, m, fixed, gauges):
-            keys = [holonomy_of_steps(G, s, config) for s in steps]
-            yield np.reshape(keys, (len(steps), len(w))), w * share
-
-    pmf = _tally(blocks())
+    # each key's weights are added in row order
+    pmf: dict[tuple[int, ...], float] = {}
+    fixed = _gauge_fixed(G, m, C, classes, cap, hk)
+    for config, w in _weighted(G, m, fixed, gauges):
+        keys = [holonomy_of_steps(G, s, config) for s in steps]
+        k = np.reshape(keys, (len(steps), len(w)))
+        for key, x in zip(map(tuple, k.T.tolist()), (w * share).tolist()):
+            pmf[key] = pmf.get(key, 0.0) + x
     return pmf, math.fsum(pmf.values())
 
 

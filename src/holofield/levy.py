@@ -138,18 +138,13 @@ class AdmissibilityReport:
         return self.conjugation_invariant and self.generates_group
 
 
-def check_admissible(
-    pi: JumpMeasure,
-    classes: ConjugacyClassTable | None = None,
-) -> AdmissibilityReport:
+def check_admissible(pi: JumpMeasure) -> AdmissibilityReport:
     """Admissibility in the finite-group sense: the support of the jump
     measure must generate the whole group (then Q_t > 0 everywhere)."""
     G = pi.group
-    if classes is None:
-        classes = conjugacy_classes(G)
     H = G.subgroup_generated(pi.support())
     return AdmissibilityReport(
-        conjugation_invariant=pi.measure.is_class_constant(classes),
+        conjugation_invariant=pi.measure.is_class_constant(),
         generated_subgroup=H,
         generates_group=len(H) == G.n,
         inversion_invariant=pi.inversion_invariant,
@@ -286,14 +281,13 @@ class SupportReport:
         return self.positive_on_subgroup and self.vanishes_off_subgroup
 
 
-def positivity_support_check(
-    pi: JumpMeasure, t: float, tail_tol: float = DEFAULT_TAIL_TOL, tol: float = 1e-10
-) -> SupportReport:
-    """Q_t is positive exactly on the subgroup generated by supp(Pi)."""
+def positivity_support_check(pi: JumpMeasure, t: float) -> SupportReport:
+    """Q_t, by the series, is positive exactly on the subgroup generated by
+    supp(Pi) and within 1e-10 of zero off it."""
     if t <= 0:
         raise ValueError("time must be positive")
     H = pi.group.subgroup_generated(pi.support())
-    q = heat_kernel_series(pi, t, tail_tol)
+    q = heat_kernel_series(pi, t)
     on = [q.values[x] for x in sorted(H)]
     off = [q.values[x] for x in range(pi.group.n) if x not in H]
     return SupportReport(
@@ -301,5 +295,5 @@ def positivity_support_check(
         min_on_subgroup=min(on),
         max_off_subgroup=max(map(abs, off)) if off else 0.0,
         positive_on_subgroup=min(on) > 0,
-        vanishes_off_subgroup=(not off) or max(map(abs, off)) <= tol,
+        vanishes_off_subgroup=(not off) or max(map(abs, off)) <= 1e-10,
     )

@@ -230,22 +230,20 @@ def _path_to_base(m: RibbonMap, up: list[int | None], x: int) -> list[int]:
     return out
 
 
-def lasso(m: RibbonMap, tree: set[int], e: int, base: int,
-          up: list[int | None] | None = None) -> EdgeWord:
-    """The loop (base -> tail of e along the tree) e (head of e -> base)."""
-    if up is None:
-        up = _tree_climb(m, tree, base)
+def lasso(m: RibbonMap, e: int, base: int, up: list[int | None]) -> EdgeWord:
+    """The loop (base -> tail of e along the tree) e (head of e -> base),
+    the tree given by its climb toward base (_tree_climb)."""
     down = _path_to_base(m, up, m.vertex_of(e))
     back = _path_to_base(m, up, m.vertex_of(m.alpha[e]))
     darts = tuple(m.alpha[d] for d in reversed(down)) + (e,) + tuple(back)
     return reduce_word(m, EdgeWord(base, darts))
 
 
-def free_basis(m: RibbonMap, base: int, tree: set[int] | None = None) -> list[EdgeWord]:
-    if tree is None:
-        tree = spanning_tree(m)
+def free_basis(m: RibbonMap, base: int) -> list[EdgeWord]:
+    """The lassos at base of the edges off the spanning tree."""
+    tree = spanning_tree(m)
     up = _tree_climb(m, tree, base)
-    return [lasso(m, tree, e, base, up) for e in m.edges() if e not in tree]
+    return [lasso(m, e, base, up) for e in m.edges() if e not in tree]
 
 
 def abelianization(m: RibbonMap, w: EdgeWord) -> tuple[int, ...]:
@@ -310,9 +308,6 @@ class TameGenerators:
         parts.append(inverse(m, prod_l))
         return reduce_word(m, _concat_all(m, parts, self.base))
 
-    def generators_dropping_last_face(self) -> list[EdgeWord]:
-        return list(self.a) + list(self.c) + list(self.l[:-1])
-
 
 def _concat_all(m: RibbonMap, words: list[EdgeWord], base: int) -> EdgeWord:
     out = EdgeWord(base)
@@ -321,11 +316,10 @@ def _concat_all(m: RibbonMap, words: list[EdgeWord], base: int) -> EdgeWord:
     return out
 
 
-def _lasso_product(m: RibbonMap, tree, up, items, base: int) -> EdgeWord:
+def _lasso_product(m: RibbonMap, up, items, base: int) -> EdgeWord:
     """The lassos of the darts of a run of framed darts (a facial cycle or a
     stretch of one), multiplied in order."""
-    return _concat_all(m, [lasso(m, tree, d, base, up) for d, _ in items],
-                       base)
+    return _concat_all(m, [lasso(m, d, base, up) for d, _ in items], base)
 
 
 def _conjugate(m: RibbonMap, w: EdgeWord, s: EdgeWord) -> EdgeWord:
@@ -345,7 +339,9 @@ def _inv_sym(sym):
     return [(e, -s) for e, s in reversed(sym)]
 
 
-def tame_generators(m: RibbonMap, base: int = 0) -> TameGenerators:
+def tame_generators(m: RibbonMap) -> TameGenerators:
+    """The tame system of m, its lassos based at vertex 0."""
+    base = 0
     fs = faces(m)
     dual = dual_spanning_tree(m)
     bdarts = m.boundary_darts()
@@ -377,7 +373,7 @@ def tame_generators(m: RibbonMap, base: int = 0) -> TameGenerators:
     letter_rep.update(b_rep)
 
     up = _tree_climb(m, tree, base)
-    lassos = {e: lasso(m, tree, letter_rep[e], base, up)
+    lassos = {e: lasso(m, letter_rep[e], base, up)
               for e in list(r_edges) + sorted(b_edges)}
 
     # contour walk of the polygon the faces form when glued along the dual
@@ -446,7 +442,7 @@ def tame_generators(m: RibbonMap, base: int = 0) -> TameGenerators:
     order = closed[::-1]
     conjs = [_word_of_letters(m, lassos, _inv_sym(V[:k]), base)
              for _, _, k in order]
-    l_words = [_conjugate(m, _lasso_product(m, tree, up, cyc, base), s_i)
+    l_words = [_conjugate(m, _lasso_product(m, up, cyc, base), s_i)
                for (_, cyc, _), s_i in zip(order, conjs)]
     out = TameGenerators(
         base=base, a=a_words, c=c_words, c_meta=c_meta,
@@ -521,10 +517,10 @@ def refine_generators(
     # each sub-face's product, read from the cut, is conjugated into place
     # by x^-1 s_i, x being the stretch of C before the cut
     up = _tree_climb(fine, tree, base)
-    x = _lasso_product(fine, tree, up, C[:cut], base)
+    x = _lasso_product(fine, up, C[:cut], base)
     s_i = reduce_word(fine, concat(
         fine, inverse(fine, x), tame.conj[split_position]))
-    l1, l2 = (_conjugate(fine, _lasso_product(fine, tree, up, half, base), s_i)
+    l1, l2 = (_conjugate(fine, _lasso_product(fine, up, half, base), s_i)
               for half in (first, second))
     if reduce_word(fine, concat(
             fine, l1, l2, inverse(fine, tame.l[split_position]))).darts:

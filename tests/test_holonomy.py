@@ -393,7 +393,7 @@ def test_gauge_fixed_count_and_cap():
     spec = SurfaceSpec(True, 0, 3, 1.0, (1, 1, 2))
     m, _ = subdivide_edge(standard_map(spec), 0)
     C = GConstraints(boundary_classes=spec.constraints)
-    configs = list(constrained_configurations(G, m, C, conjugacy_classes(G)))
+    configs = list(constrained_configurations(G, m, C))
     assert len(configs) == 18
     assert all(w == pytest.approx(1 / 18, abs=1e-15) for _, w in configs)
     partition_graph(G, m, C, hk, cap=18)

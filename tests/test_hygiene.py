@@ -1,0 +1,75 @@
+"""Source hygiene of the package, read with ast alone: every imported name
+is used, and every __all__ entry names something the module defines."""
+
+import ast
+import glob
+import os
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src", "holofield")
+MODULES = sorted(glob.glob(os.path.join(SRC, "*.py")))
+
+
+def _parse(path):
+    with open(path) as fh:
+        return ast.parse(fh.read(), filename=path)
+
+
+def _imported(tree):
+    """Names bound by the module's imports, __future__ aside."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out.update(a.asname or a.name.partition(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            out.update(a.asname or a.name for a in node.names)
+    return out
+
+
+def _exported(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            return [e.value for e in node.value.elts]
+    return []
+
+
+def _used(tree):
+    """Names read anywhere, and the __all__ entries."""
+    return set(_exported(tree)) | {
+        n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+
+
+def _defined(tree):
+    """Names the module binds at top level."""
+    out = _imported(tree)
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            out.update(n.id for t in targets for n in ast.walk(t)
+                       if isinstance(n, ast.Name))
+    return out
+
+
+def _per_module(check):
+    """check(tree) for every module, keeping the non-empty results."""
+    out = {}
+    for path in MODULES:
+        found = sorted(check(_parse(path)))
+        if found:
+            out[os.path.basename(path)] = found
+    return out
+
+
+def test_every_import_is_used():
+    assert MODULES
+    assert _per_module(lambda tree: _imported(tree) - _used(tree)) == {}
+
+
+def test_all_names_are_defined():
+    assert _per_module(
+        lambda tree: set(_exported(tree)) - _defined(tree)) == {}
