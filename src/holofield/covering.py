@@ -183,8 +183,7 @@ def _tuple_rows(G: FiniteGroup, spec: SurfaceSpec, k: int,
     def close(block):
         # it must not be the identity, and with no twists the relation must
         # close by itself
-        last = np.broadcast_to(holonomy_of_steps(G, closing, block),
-                               block.shape[1:])
+        last = holonomy_of_steps(G, closing, block)
         keep = (last == 0) == (k == 0)
         rows = (np.vstack([block, last[None]]) if k else block)[:, keep]
         _check_tuples(G, spec.orientable, g, spec.constraints, rows)
@@ -386,16 +385,13 @@ def sample_covering(G: FiniteGroup, spec: SurfaceSpec, pi: JumpMeasure,
 
 
 def _boundary_classes_for(tame: TameGenerators, C: GConstraints,
-                          G: FiniteGroup,
                           classes: ConjugacyClassTable) -> list[int]:
     """Class of each boundary generator's holonomy, following the circuit
     orientation the generator actually uses."""
     out = []
     for circuit, exponent in tame.c_meta:
         cls = C.boundary_classes[circuit]
-        if exponent == -1:
-            cls = classes.class_of[G.inv[classes.reps[cls]]]
-        out.append(cls)
+        out.append(classes.inverse_class[cls] if exponent == -1 else cls)
     return out
 
 
@@ -420,7 +416,7 @@ def monodromy_marginal(G: FiniteGroup, m: RibbonMap, tame: TameGenerators,
     areas = [m.areas[i] for i in tame.face_of_l]
     face_pmf = [np.array(heat_kernel_series(pi, t, tail_tol).values) / G.n
                 for t in areas]
-    orbit_classes = _boundary_classes_for(tame, C, G, classes)
+    orbit_classes = _boundary_classes_for(tame, C, classes)
     orbits = [classes.elements_of(c) for c in orbit_classes]
     p = len(orbits)
     pre = G.n ** (1 - g) / math.prod(len(o) for o in orbits)
@@ -432,7 +428,7 @@ def monodromy_marginal(G: FiniteGroup, m: RibbonMap, tame: TameGenerators,
     for block in _product_blocks([range(G.n)] * g + orbits
                                  + [range(G.n)] * (f - 1)):
         z_last = evaluate_word(G, last_word, block)
-        rows = np.vstack([block, np.broadcast_to(z_last, block.shape[1:])])
+        rows = np.vstack([block, z_last])
         val = np.full(rows.shape[1], pre)
         for z, fp in zip(rows[g + p:], face_pmf):
             val = val * fp[z]

@@ -268,32 +268,16 @@ def _dihedral4() -> FiniteGroup:
 
 
 def _quaternion8() -> FiniteGroup:
-    # 1, -1, i, -i, j, -j, k, -k
+    # left multiplication on the basis 1, i, j, k as signed permutations of
+    # 8 points, point a + 4 being -e_a: the images of the basis under 1, i,
+    # j and k, and negation adds 4 (mod 8); elements 1, -1, i, -i, ...
+    units = [(0, 1, 2, 3), (1, 4, 3, 6), (2, 7, 4, 1), (3, 2, 5, 4)]
+    perms = []
+    for u in units:
+        minus = tuple((x + 4) % 8 for x in u)
+        perms += [u + minus, minus + u]
     labels = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
-    one, mone, i, mi, j, mj, k, mk = range(8)
-    neg = {one: mone, mone: one, i: mi, mi: i, j: mj, mj: j, k: mk, mk: k}
-    base = {
-        (i, i): mone, (j, j): mone, (k, k): mone,
-        (i, j): k, (j, k): i, (k, i): j,
-        (j, i): mk, (k, j): mi, (i, k): mj,
-    }
-
-    def mul(a, b):
-        sign = 1
-        if a in (mone, mi, mj, mk):
-            a, sign = neg[a], -sign
-        if b in (mone, mi, mj, mk):
-            b, sign = neg[b], -sign
-        if a == one:
-            out = b
-        elif b == one:
-            out = a
-        else:
-            out = base[(a, b)]
-        return neg[out] if sign < 0 else out
-
-    table = [[mul(a, b) for b in range(8)] for a in range(8)]
-    return _from_table(table, labels, name="Q8")
+    return _from_permutations(perms, labels, "Q8")
 
 
 _BUILTINS = {

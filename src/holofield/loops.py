@@ -32,7 +32,6 @@ __all__ = [
     "reduce_word",
     "spanning_tree",
     "dual_spanning_tree",
-    "lasso",
     "free_basis",
     "tame_generators",
     "refine_generators",
@@ -72,7 +71,6 @@ def word_end(m: RibbonMap, w: EdgeWord) -> int:
 
 
 def concat(m: RibbonMap, *words: EdgeWord) -> EdgeWord:
-    words = list(words)
     if not words:
         raise MapError("nothing to concatenate")
     out = list(words[0].darts)
@@ -86,19 +84,24 @@ def concat(m: RibbonMap, *words: EdgeWord) -> EdgeWord:
 
 
 def inverse(m: RibbonMap, w: EdgeWord) -> EdgeWord:
-    return EdgeWord(word_end(m, w), tuple(m.alpha[d] for d in reversed(w.darts)))
+    return EdgeWord(word_end(m, w), _inv(m, w.darts))
 
 
-def reduce_word(m: RibbonMap, w: EdgeWord) -> EdgeWord:
-    """Erase adjacent dart/reverse-dart pairs until none remain; the result
-    is the unique shortest representative with the same endpoints."""
+def _reduced(m: RibbonMap, darts) -> tuple[int, ...]:
+    """Erase adjacent dart/reverse-dart pairs until none remain, in one pass
+    over a stack; free reduction is confluent, so the result is unique."""
     stack: list[int] = []
-    for d in w.darts:
+    for d in darts:
         if stack and stack[-1] == m.alpha[d]:
             stack.pop()
         else:
             stack.append(d)
-    return EdgeWord(w.base, tuple(stack))
+    return tuple(stack)
+
+
+def reduce_word(m: RibbonMap, w: EdgeWord) -> EdgeWord:
+    """The unique shortest representative of w with the same endpoints."""
+    return EdgeWord(w.base, _reduced(m, w.darts))
 
 
 def word_steps(m: RibbonMap, darts) -> tuple[tuple[int, bool], ...]:
@@ -112,10 +115,12 @@ def holonomy_of_steps(G: FiniteGroup, steps, config) -> int | np.ndarray:
     traversal order, inverted on reversed darts. config maps each edge id
     (or letter index) to a group element; or it is an integer array whose
     row e holds edge e's values over a block of configurations, and the
-    holonomies of the whole block come back as one array."""
+    block's holonomies come back as one array, one per column (the
+    identity for the empty word)."""
     n = G.n
-    mul, inv = _tables(G, isinstance(config, np.ndarray))
-    h = 0
+    block = isinstance(config, np.ndarray)
+    mul, inv = _tables(G, block)
+    h = np.zeros(config.shape[1:], dtype=np.intp) if block else 0
     for e, rev in steps:
         x = config[e]
         h = mul[h * n + (inv[x] if rev else x)]
@@ -200,50 +205,42 @@ def dual_spanning_tree(m: RibbonMap) -> frozenset[int]:
     return frozenset(tree)
 
 
-def _tree_climb(m: RibbonMap, tree: set[int], base: int) -> list[int | None]:
-    """For each vertex, the dart of the tree edge pointing toward base (None
-    at base); BFS over tree edges in ascending dart order."""
-    up: list[int | None] = [None] * m.n_vertices
-    seen = [False] * m.n_vertices
-    seen[base] = True
+def _tree_paths(m: RibbonMap, tree: set[int], base: int) -> list[tuple[int, ...]]:
+    """For each vertex, the darts of its tree path to base; BFS over tree
+    edges in ascending dart order."""
+    to_base: list[tuple[int, ...] | None] = [None] * m.n_vertices
+    to_base[base] = ()
     queue = [base]
-    while queue:
-        u = queue.pop(0)
+    for u in queue:
         for d in sorted(m.vertex_cycles()[u]):
-            if m.edge_of(d) not in tree:
-                continue
             w = m.vertex_of(m.alpha[d])
-            if not seen[w]:
-                seen[w] = True
-                up[w] = m.alpha[d]
+            if m.edge_of(d) in tree and to_base[w] is None:
+                to_base[w] = (m.alpha[d],) + to_base[u]
                 queue.append(w)
-    if not all(seen):
+    if None in to_base:
         raise MapError("tree does not span the map")
-    return up
+    return to_base
 
 
-def _path_to_base(m: RibbonMap, up: list[int | None], x: int) -> list[int]:
-    out = []
-    while up[x] is not None:
-        out.append(up[x])
-        x = m.vertex_of(m.alpha[up[x]])
-    return out
+def _inv(m: RibbonMap, darts) -> tuple[int, ...]:
+    """The darts of the reversed path."""
+    return tuple(m.alpha[d] for d in reversed(darts))
 
 
-def lasso(m: RibbonMap, e: int, base: int, up: list[int | None]) -> EdgeWord:
-    """The loop (base -> tail of e along the tree) e (head of e -> base),
-    the tree given by its climb toward base (_tree_climb)."""
-    down = _path_to_base(m, up, m.vertex_of(e))
-    back = _path_to_base(m, up, m.vertex_of(m.alpha[e]))
-    darts = tuple(m.alpha[d] for d in reversed(down)) + (e,) + tuple(back)
-    return reduce_word(m, EdgeWord(base, darts))
+def _lassos(m: RibbonMap, base: int, to_base, darts) -> EdgeWord:
+    """The reduced product of the darts' lassos (the tree from base to the
+    dart's tail, the dart, the tree back), read as one stream of tree paths
+    and darts and reduced once: free reduction is confluent."""
+    return EdgeWord(base, _reduced(m, (
+        x for d in darts for x in (*_inv(m, to_base[m.vertex_of(d)]), d,
+                                   *to_base[m.vertex_of(m.alpha[d])]))))
 
 
 def free_basis(m: RibbonMap, base: int) -> list[EdgeWord]:
     """The lassos at base of the edges off the spanning tree."""
     tree = spanning_tree(m)
-    up = _tree_climb(m, tree, base)
-    return [lasso(m, e, base, up) for e in m.edges() if e not in tree]
+    to_base = _tree_paths(m, tree, base)
+    return [_lassos(m, base, to_base, [e]) for e in m.edges() if e not in tree]
 
 
 def abelianization(m: RibbonMap, w: EdgeWord) -> tuple[int, ...]:
@@ -301,42 +298,11 @@ class TameGenerators:
     tree: frozenset[int]  # spanning tree (edge ids) the lassos follow
 
     def relation_word(self, m: RibbonMap) -> EdgeWord:
-        parts = [self.a[i] if s == 1 else inverse(m, self.a[i])
-                 for i, s in self.w]
-        parts += list(self.c)
-        prod_l = _concat_all(m, self.l, self.base)
-        parts.append(inverse(m, prod_l))
-        return reduce_word(m, _concat_all(m, parts, self.base))
-
-
-def _concat_all(m: RibbonMap, words: list[EdgeWord], base: int) -> EdgeWord:
-    out = EdgeWord(base)
-    for w in words:
-        out = concat(m, out, w)
-    return out
-
-
-def _lasso_product(m: RibbonMap, up, items, base: int) -> EdgeWord:
-    """The lassos of the darts of a run of framed darts (a facial cycle or a
-    stretch of one), multiplied in order."""
-    return _concat_all(m, [lasso(m, d, base, up) for d, _ in items], base)
-
-
-def _conjugate(m: RibbonMap, w: EdgeWord, s: EdgeWord) -> EdgeWord:
-    """The reduced word s^-1 w s."""
-    return reduce_word(m, concat(m, inverse(m, s), w, s))
-
-
-def _word_of_letters(m: RibbonMap, lassos: dict[int, EdgeWord], sym,
-                     base: int) -> EdgeWord:
-    out = EdgeWord(base)
-    for e, s in sym:
-        out = concat(m, out, lassos[e] if s == 1 else inverse(m, lassos[e]))
-    return reduce_word(m, out)
-
-
-def _inv_sym(sym):
-    return [(e, -s) for e, s in reversed(sym)]
+        darts = [d for i, s in self.w for d in
+                 (self.a[i].darts if s == 1 else _inv(m, self.a[i].darts))]
+        darts += [d for c in self.c for d in c.darts]
+        darts += _inv(m, [d for l in self.l for d in l.darts])
+        return EdgeWord(self.base, _reduced(m, darts))
 
 
 def tame_generators(m: RibbonMap) -> TameGenerators:
@@ -371,17 +337,18 @@ def tame_generators(m: RibbonMap) -> TameGenerators:
                      if e not in tree and e not in b_edges and e not in dual)
     letter_rep = {e: e for e in r_edges}
     letter_rep.update(b_rep)
+    to_base = _tree_paths(m, tree, base)
 
-    up = _tree_climb(m, tree, base)
-    lassos = {e: lasso(m, letter_rep[e], base, up)
-              for e in list(r_edges) + sorted(b_edges)}
+    def sign(d):
+        return 1 if d == letter_rep[m.edge_of(d)] else -1
 
     # contour walk of the polygon the faces form when glued along the dual
     # tree: walk each face's cycle from the dart it was entered by, go down
     # into the face across every other dual-tree dart and resume when that
-    # face's cycle closes. The letters met spell the polygon's word V, and a
-    # face closing after the first k of them has the conjugator V[:k]^-1
-    V: list[tuple[int, int]] = []
+    # face's cycle closes. The letter darts crossed spell the polygon's word
+    # V, and a face closing after the first k of them has the conjugator
+    # V[:k]^-1
+    V: list[int] = []
     closed = []  # (face, cycle, len(V)) in the order the cycles close
     walk = [(0, fs.cycles[0], iter(fs.cycles[0]))]
     while walk:
@@ -402,48 +369,45 @@ def tame_generators(m: RibbonMap) -> TameGenerators:
                 child.append(m.phi(*child[-1]))
             walk.append((fs.home[across], tuple(child), iter(child[1:])))
         elif e not in tree:
-            V.append((e, 1 if d == letter_rep[e] else -1))
+            V.append(d)
     if len(closed) != len(fs.cycles):
         raise MapError("dual tree traversal missed a face")
 
     # sanity on letter multiplicities
-    counts = Counter(e for e, _ in V)
-    for e in r_edges:
-        if counts[e] != 2:
-            raise MapError("genus letter does not appear exactly twice")
-    for e in b_edges:
-        if counts[e] != 1:
-            raise MapError("boundary letter does not appear exactly once")
+    counts = Counter(m.edge_of(d) for d in V)
+    if any(counts[e] != 2 for e in r_edges):
+        raise MapError("genus letter does not appear exactly twice")
+    if any(counts[e] != 1 for e in b_edges):
+        raise MapError("boundary letter does not appear exactly once")
 
     # split V at boundary letters: V = t_0 beta_1 t_1 ... beta_p t_p
     t_chunks = [[]]
     betas = []
-    for e, s in V:
-        if e in b_edges:
-            betas.append((e, s))
+    for d in V:
+        if m.edge_of(d) in b_edges:
+            betas.append(d)
             t_chunks.append([])
         else:
-            t_chunks[-1].append((e, s))
+            t_chunks[-1].append(d)
 
     a_idx = {e: i for i, e in enumerate(r_edges)}
-    a_words = [lassos[e] for e in r_edges]
-    w_letters = [(a_idx[e], s) for chunk in t_chunks for e, s in chunk]
+    a_words = [_lassos(m, base, to_base, [e]) for e in r_edges]
+    w_letters = [(a_idx[m.edge_of(d)], sign(d))
+                 for chunk in t_chunks for d in chunk]
 
-    c_words = []
-    c_meta = []
-    for i, (e, s) in enumerate(betas):
-        tail = [x for chunk in t_chunks[i + 1:] for x in chunk]
-        beta_w = lassos[e] if s == 1 else inverse(m, lassos[e])
-        c_words.append(_conjugate(
-            m, beta_w, _word_of_letters(m, lassos, tail, base)))
-        c_meta.append((circuit_of_b[e], s))
+    c_words, c_meta = [], []
+    for i, beta in enumerate(betas):
+        tail = [d for chunk in t_chunks[i + 1:] for d in chunk]
+        c_words.append(_lassos(m, base, to_base,
+                               [*_inv(m, tail), beta, *tail]))
+        c_meta.append((circuit_of_b[m.edge_of(beta)], sign(beta)))
 
     # the facial lassos in the reverse of the order their cycles closed
     order = closed[::-1]
-    conjs = [_word_of_letters(m, lassos, _inv_sym(V[:k]), base)
-             for _, _, k in order]
-    l_words = [_conjugate(m, _lasso_product(m, up, cyc, base), s_i)
-               for (_, cyc, _), s_i in zip(order, conjs)]
+    conjs = [_lassos(m, base, to_base, _inv(m, V[:k])) for _, _, k in order]
+    l_words = [_lassos(m, base, to_base,
+                       [*V[:k], *(d for d, _ in cyc), *_inv(m, V[:k])])
+               for _, cyc, k in order]
     out = TameGenerators(
         base=base, a=a_words, c=c_words, c_meta=c_meta,
         l=l_words, face_of_l=[u for u, _, _ in order], w=w_letters,
@@ -498,9 +462,8 @@ def refine_generators(
         ka, kb = chord_index(fa), chord_index(fb)
         first = fa[ka + 1:] + fa[:ka + 1]
         second = fb[kb:] + fb[:kb]
-        seq = [it for it in first[:-1] + second[1:]]
         try:
-            ps = [pos[it] for it in seq]
+            ps = [pos[it] for it in first[:-1] + second[1:]]
         except KeyError:
             return None
         cut = ps[0]
@@ -515,17 +478,19 @@ def refine_generators(
     base, tree = tame.base, tame.tree
     # lassos on the fine map reuse the coarse spanning tree (no new vertex);
     # each sub-face's product, read from the cut, is conjugated into place
-    # by x^-1 s_i, x being the stretch of C before the cut
-    up = _tree_climb(fine, tree, base)
-    x = _lasso_product(fine, up, C[:cut], base)
-    s_i = reduce_word(fine, concat(
-        fine, inverse(fine, x), tame.conj[split_position]))
-    l1, l2 = (_conjugate(fine, _lasso_product(fine, up, half, base), s_i)
+    # by s_i = x^-1 conj, x being the stretch of C before the cut
+    to_base = _tree_paths(fine, tree, base)
+    s_i = _lassos(fine, base, to_base,
+                  [*_inv(fine, [d for d, _ in C[:cut]]),
+                   *tame.conj[split_position].darts])
+    l1, l2 = (_lassos(fine, base, to_base,
+                      [*_inv(fine, s_i.darts), *(d for d, _ in half),
+                       *s_i.darts])
               for half in (first, second))
-    if reduce_word(fine, concat(
-            fine, l1, l2, inverse(fine, tame.l[split_position]))).darts:
+    if _reduced(fine, l1.darts + l2.darts
+                + _inv(fine, tame.l[split_position].darts)):
         raise MapError("refined facial lassos do not multiply to the old one")
-    home = faces(fine).home
+    home = fs_fine.home
     at = slice(split_position, split_position + 1)
     l_list, faces_list = list(tame.l), list(tame.face_of_l)
     cycles, conjs = list(tame.cycles), list(tame.conj)

@@ -139,27 +139,21 @@ class RibbonMap:
     def edges(self) -> list[int]:
         return [d for d in range(self.n_darts) if d < self.alpha[d]]
 
-    def _vertex_data(self):
-        if "vertex_cycles" not in self._derived:
-            cycles = _cycles_of(list(self.sigma))
-            cycles.sort(key=min)
-            vof = [0] * self.n_darts
-            for v, cyc in enumerate(cycles):
-                for d in cyc:
-                    vof[d] = v
-            self._derived["vertex_cycles"] = cycles
-            self._derived["vertex_of"] = vof
-        return self._derived["vertex_cycles"], self._derived["vertex_of"]
+    def _cached(self, key: str, build):
+        """Data derived from the map, built on first use and kept."""
+        if key not in self._derived:
+            self._derived[key] = build(self)
+        return self._derived[key]
 
     def vertex_cycles(self) -> list[list[int]]:
-        return self._vertex_data()[0]
+        return self._cached("vertices", _vertices)[0]
 
     @property
     def n_vertices(self) -> int:
         return len(self.vertex_cycles())
 
     def vertex_of(self, d: int) -> int:
-        return self._vertex_data()[1][d]
+        return self._cached("vertices", _vertices)[1][d]
 
     def boundary_darts(self) -> set[int]:
         out = set()
@@ -172,36 +166,15 @@ class RibbonMap:
     def framed_darts(self) -> tuple[tuple[int, int], ...]:
         """All (dart, framing sign) pairs; a positively-bounding boundary
         dart keeps only +1, its reverse only -1, interior darts keep both."""
-        if "framed" not in self._derived:
-            pos = set()
-            for circ in self.boundary:
-                pos.update(circ)
-            out = []
-            for d in range(self.n_darts):
-                if d in pos:
-                    out.append((d, 1))
-                elif self.alpha[d] in pos:
-                    out.append((d, -1))
-                else:
-                    out.append((d, 1))
-                    out.append((d, -1))
-            self._derived["framed"] = tuple(out)
-        return self._derived["framed"]
-
-    def sigma_power(self, d: int, s: int) -> int:
-        if s == 1:
-            return self.sigma[d]
-        if "sigma_inv" not in self._derived:
-            inv = [0] * self.n_darts
-            for x, y in enumerate(self.sigma):
-                inv[y] = x
-            self._derived["sigma_inv"] = tuple(inv)
-        return self._derived["sigma_inv"][d]
+        return self._cached("framed", _framed_darts)
 
     def phi(self, d: int, eps: int) -> tuple[int, int]:
-        """The facial permutation on framed darts."""
+        """The facial permutation on framed darts: sigma^-s at the reverse
+        dart, s = lam(d) eps."""
         s = self.lam[d] * eps
-        return self.sigma_power(self.alpha[d], -s), s
+        rotation = self.sigma if s == -1 else self._cached(
+            "sigma_inv", _inverse_rotation)
+        return rotation[self.alpha[d]], s
 
     def twin(self, d: int, eps: int) -> tuple[int, int]:
         """The framed dart running the same edge side the other way: the
@@ -215,7 +188,38 @@ class RibbonMap:
             raise MapError("need one area per face")
         if any(a <= 0 for a in areas):
             raise MapError("face areas must be positive")
-        return replace(self, areas=areas, _derived={})
+        # the derived data do not depend on the areas: the two maps share it
+        return replace(self, areas=areas)
+
+
+def _vertices(m: RibbonMap) -> tuple[list[list[int]], list[int]]:
+    """The vertex cycles of sigma, ordered by their lowest dart, and the
+    vertex of every dart."""
+    cycles = sorted(_cycles_of(list(m.sigma)), key=min)
+    vertex_of = [0] * m.n_darts
+    for v, cyc in enumerate(cycles):
+        for d in cyc:
+            vertex_of[d] = v
+    return cycles, vertex_of
+
+
+def _framed_darts(m: RibbonMap) -> tuple[tuple[int, int], ...]:
+    pos = {d for circ in m.boundary for d in circ}
+    out = []
+    for d in range(m.n_darts):
+        if d in pos:
+            out.append((d, 1))
+        elif m.alpha[d] in pos:
+            out.append((d, -1))
+        else:
+            out.append((d, 1))
+            out.append((d, -1))
+    return tuple(out)
+
+
+def _inverse_rotation(m: RibbonMap) -> tuple[int, ...]:
+    # sigma^-1 lists the darts in the order of their images under sigma
+    return tuple(sorted(range(m.n_darts), key=m.sigma.__getitem__))
 
 
 def _framed_key(item: tuple[int, int]) -> tuple[int, int]:
@@ -257,8 +261,10 @@ def _vertex_signs(m: RibbonMap) -> list[int] | None:
 
 
 def faces(m: RibbonMap) -> FaceSet:
-    if "faces" in m._derived:
-        return m._derived["faces"]
+    return m._cached("faces", _faces)
+
+
+def _faces(m: RibbonMap) -> FaceSet:
     fr = list(m.framed_darts())
     frset = set(fr)
     seen = set()
@@ -280,7 +286,7 @@ def faces(m: RibbonMap) -> FaceSet:
     for i, cyc in enumerate(cycles):
         for item in cyc:
             index_of[item] = i
-    signs = _vertex_signs(m)
+    signs = m._cached("signs", _vertex_signs)
     reps = []
     used = set()
     for i, cyc in enumerate(cycles):
@@ -303,16 +309,14 @@ def faces(m: RibbonMap) -> FaceSet:
         reps.append((tuple(pick[k:] + pick[:k]), i, j))
     reps.sort(key=lambda rep: _framed_key(rep[0][0]))
     face_of = {c: f for f, (_, i, j) in enumerate(reps) for c in (i, j)}
-    fs = FaceSet(tuple(rep for rep, _, _ in reps),
-                 {item: face_of[c] for item, c in index_of.items()})
-    m._derived["faces"] = fs
-    return fs
+    return FaceSet(tuple(rep for rep, _, _ in reps),
+                   {item: face_of[c] for item, c in index_of.items()})
 
 
 def is_orientable(m: RibbonMap) -> bool:
     """Signed-graph balance of the signature: the map is orientable iff the
     signature can be gauged to +1 everywhere."""
-    return _vertex_signs(m) is not None
+    return m._cached("signs", _vertex_signs) is not None
 
 
 def euler_and_genus(m: RibbonMap) -> tuple[int, bool, int, int]:

@@ -97,6 +97,27 @@ def test_verify_suites_pass(files, capsys, suite):
     assert all(case["pass"] is True for case in doc["cases"])
 
 
+def test_verify_tame_fails_on_a_missing_law_key(files, capsys, monkeypatch):
+    """The tame check runs over every generator tuple the relation allows,
+    so a tuple the holonomy law leaves out is a failure, not unseen."""
+    import holofield.cli as cli
+
+    full = cli.marginal_generators
+
+    def dropped(*args, **kwargs):
+        pmf, total = full(*args, **kwargs)
+        del pmf[min(pmf)]
+        return pmf, total
+
+    monkeypatch.setattr(cli, "marginal_generators", dropped)
+    code, doc = run_json(capsys, [
+        "verify", "tame", "--group", files["s3"],
+        "--surface", files["torus"], "--levy", files["levy_s3"]])
+    assert code == 1
+    assert doc["cases"][0]["pass"] is False
+    assert doc["max_abs_diff"] > 1e-3
+
+
 def test_verify_on_nonorientable_surface(files, capsys):
     code, doc = run_json(capsys, [
         "verify", "holo-mono", "--group", files["z2"],

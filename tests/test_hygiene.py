@@ -1,5 +1,6 @@
 """Source hygiene of the package, read with ast alone: every imported name
-is used, and every __all__ entry names something the module defines."""
+is used, every __all__ entry names something the module defines, and every
+private module-level helper is referenced somewhere in the package."""
 
 import ast
 import glob
@@ -73,3 +74,29 @@ def test_every_import_is_used():
 def test_all_names_are_defined():
     assert _per_module(
         lambda tree: set(_exported(tree)) - _defined(tree)) == {}
+
+
+def _private_definitions(tree):
+    """The module-level functions and classes named with a leading _."""
+    return {node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name.startswith("_")}
+
+
+def _references(tree):
+    """Names read, attributes taken and names imported anywhere."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(a.name for a in node.names)
+    return out
+
+
+def test_every_private_definition_is_referenced():
+    """A private helper nothing in the package calls is dead code."""
+    used = set().union(*(_references(_parse(p)) for p in MODULES))
+    assert _per_module(lambda tree: _private_definitions(tree) - used) == {}

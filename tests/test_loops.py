@@ -1,6 +1,8 @@
 """Word reduction, free bases, and tame generating systems of map loops."""
 
+import hashlib
 import random
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -198,6 +200,57 @@ def test_tame_generators_exact_words(build, expected):
     got = {f: [w.darts for w in getattr(tame, f)] for f in words}
     got.update((f, getattr(tame, f)) for f in ("c_meta", "face_of_l", "w"))
     assert got == expected
+
+
+def standard_sweep():
+    """(map, is standard) for the 24 standard maps, orientable of reduced
+    genus 0, 2, 4, 6 and non-orientable of genus 1-4, each with 0-2
+    boundaries, each followed by the ends of two seeded chains of 1-3
+    random face splits and edge subdivisions."""
+    for ori, genera in ((True, (0, 2, 4, 6)), (False, (1, 2, 3, 4))):
+        for g in genera:
+            for p in range(3):
+                m0 = standard_map(SurfaceSpec(ori, g, p, 1.0, (0,) * p))
+                yield m0, True
+                for seed in range(2):
+                    rng = random.Random(1000 * ori + 100 * g + 10 * p + seed)
+                    m = m0
+                    for _ in range(rng.randint(1, 3)):
+                        cycles = faces(m).cycles
+                        f = rng.randrange(len(cycles))
+                        if rng.random() < 0.5 and len(cycles[f]) > 1:
+                            i, j = rng.sample(range(len(cycles[f])), 2)
+                            m = split_face(m, f, i, j)[0]
+                        else:
+                            m = subdivide_edge(m, rng.randrange(m.n_darts))[0]
+                    yield m, False
+
+
+# sha256 of the sweep's tame systems and refinements: reduced words are
+# unique, so every construction of the same system gives this digest
+SWEEP_DIGEST = (
+    "6f044578928458c96d9687dfc48f93dddaeb1f951d845d12ddc622a301a2a14d")
+
+
+def test_tame_and_refined_systems_over_a_sweep_are_pinned():
+    """Every TameGenerators field on the sweep's 72 maps, and the refined
+    system at every corner pair of every face of the 24 standard maps."""
+    digest = hashlib.sha256()
+
+    def record(tame):
+        digest.update(repr([getattr(tame, f.name) for f in fields(tame)])
+                      .encode())
+
+    for m, standard in standard_sweep():
+        tame = tame_generators(m)
+        record(tame)
+        for f, cyc in enumerate(faces(m).cycles if standard else ()):
+            for i in range(len(cyc)):
+                for j in range(i + 1, len(cyc)):
+                    fine, cont = split_face(m, f, i, j)
+                    record(refine_generators(
+                        tame, m, fine, tame.face_of_l.index(f), cont))
+    assert digest.hexdigest() == SWEEP_DIGEST
 
 
 def test_refine_generators_after_face_split():
