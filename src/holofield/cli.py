@@ -489,7 +489,8 @@ def cmd_cover_sample(cfg: RunConfig, args) -> dict:
     pi = load_levy(cfg, G)
     rows = []
     for i in range(args.count):
-        rc, tp = sample_covering(G, spec, pi, cfg.seed + i)
+        rc, tp = sample_covering(G, spec, pi, cfg.seed + i,
+                                 tail_tol=cfg.tail_tol)
         rows.append({"k": rc.total, "a": _labels(G, tp.a),
                      "c": _labels(G, tp.c), "d": _labels(G, tp.d)})
     return {"command": "cover sample", "count": args.count, "cases": rows,

@@ -19,7 +19,7 @@ import functools
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -28,6 +28,7 @@ from .groups import (
     ConjugacyClassTable,
     FiniteGroup,
     _conj,
+    _tables,
     conjugacy_classes,
     convolution_power,
 )
@@ -58,6 +59,8 @@ from .holonomy import (
 
 # attempts sample_covering makes before it gives up
 _MAX_ATTEMPTS = 2 * 10 ** 6
+# entries of counting_check's conjugate-key gather, per chunk of rows
+_GATHER = 1 << 16
 
 
 def canonical_word(orientable: bool, genus: int) -> list[tuple[int, int]]:
@@ -116,31 +119,102 @@ def _check_tuples(G: FiniteGroup, orientable: bool, genus: int,
 
 
 @dataclass(frozen=True)
-class MonodromyTuple:
-    """A based ramified bundle: generator monodromies plus local twists."""
+class _Shape:
+    """What every tuple of one enumeration shares: the group and the
+    surface type its entries are read against."""
 
     group: FiniteGroup
     orientable: bool
     genus: int
     boundary_classes: tuple[int, ...]
-    a: tuple[int, ...]
-    c: tuple[int, ...]
-    d: tuple[int, ...]
 
-    def __post_init__(self):
-        if len(self.a) != self.genus:
+
+class MonodromyTuple:
+    """A based ramified bundle: generator monodromies plus local twists.
+    It holds its shape, shared with every tuple of its enumeration, and
+    its entries a + c + d as one tuple."""
+
+    __slots__ = ("_shape", "_entries")
+
+    def __init__(self, group: FiniteGroup, orientable: bool, genus: int,
+                 boundary_classes: tuple[int, ...], a: tuple[int, ...],
+                 c: tuple[int, ...], d: tuple[int, ...]):
+        if len(a) != genus:
             raise ValueError("wrong number of genus entries")
-        if len(self.c) != len(self.boundary_classes):
+        if len(c) != len(boundary_classes):
             raise ValueError("wrong number of boundary entries")
-        _check_tuples(self.group, self.orientable, self.genus,
-                      self.boundary_classes, self.entries())
+        entries = a + c + d
+        _check_tuples(group, orientable, genus, boundary_classes, entries)
+        _set_shape(self, _Shape(group, orientable, genus, boundary_classes))
+        _set_entries(self, entries)
+
+    @property
+    def group(self) -> FiniteGroup:
+        return self._shape.group
+
+    @property
+    def orientable(self) -> bool:
+        return self._shape.orientable
+
+    @property
+    def genus(self) -> int:
+        return self._shape.genus
+
+    @property
+    def boundary_classes(self) -> tuple[int, ...]:
+        return self._shape.boundary_classes
+
+    @property
+    def a(self) -> tuple[int, ...]:
+        return self._entries[:self._shape.genus]
+
+    @property
+    def c(self) -> tuple[int, ...]:
+        g = self._shape.genus
+        return self._entries[g:g + len(self._shape.boundary_classes)]
+
+    @property
+    def d(self) -> tuple[int, ...]:
+        return self._entries[self._shape.genus
+                             + len(self._shape.boundary_classes):]
 
     @property
     def k(self) -> int:
         return len(self.d)
 
     def entries(self) -> tuple[int, ...]:
-        return self.a + self.c + self.d
+        return self._entries
+
+    def __eq__(self, other):
+        if other.__class__ is not MonodromyTuple:
+            return NotImplemented
+        return (self._shape, self._entries) == (other._shape, other._entries)
+
+    def __hash__(self):
+        return hash((self._shape, self._entries))
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        s = self._shape
+        return MonodromyTuple, (s.group, s.orientable, s.genus,
+                                s.boundary_classes, self.a, self.c, self.d)
+
+    def __repr__(self):
+        s = self._shape
+        return (f"MonodromyTuple(group={s.group!r}, "
+                f"orientable={s.orientable!r}, genus={s.genus!r}, "
+                f"boundary_classes={s.boundary_classes!r}, a={self.a!r}, "
+                f"c={self.c!r}, d={self.d!r})")
+
+
+# the slots are written through their descriptors, past __setattr__
+_set_shape = MonodromyTuple._shape.__set__
+_set_entries = MonodromyTuple._entries.__set__
 
 
 @dataclass(frozen=True)
@@ -193,24 +267,25 @@ def _tuple_rows(G: FiniteGroup, spec: SurfaceSpec, k: int,
                                       + [range(1, G.n)] * free))
 
 
-def _tuples_of(G: FiniteGroup, spec: SurfaceSpec, rows: np.ndarray):
+def _tuples_of(shape: _Shape, rows: np.ndarray):
     """MonodromyTuple objects for the rows of a block _check_tuples has
     passed, built without checking each one again."""
-    g, p = spec.genus, spec.boundaries
-    fixed = {"group": G, "orientable": spec.orientable, "genus": g,
-             "boundary_classes": spec.constraints}
-    for row in rows.T.tolist():
+    # with no letters (the sphere with k = 0) zip(*rows) would yield nothing
+    columns = zip(*rows.tolist()) if len(rows) else \
+        itertools.repeat((), rows.shape[1])
+    for entries in columns:
         t = object.__new__(MonodromyTuple)
-        t.__dict__.update(fixed, a=tuple(row[:g]), c=tuple(row[g:g + p]),
-                          d=tuple(row[g + p:]))
+        _set_shape(t, shape)
+        _set_entries(t, entries)
         yield t
 
 
 def enumerate_H(G: FiniteGroup, spec: SurfaceSpec, k: int,
                 cap: int = DEFAULT_CAP) -> list[MonodromyTuple]:
     """All monodromy tuples with exactly k ramification points."""
+    shape = _Shape(G, spec.orientable, spec.genus, spec.constraints)
     return [t for rows in _tuple_rows(G, spec, k, conjugacy_classes(G), cap)
-            for t in _tuples_of(G, spec, rows)]
+            for t in _tuples_of(shape, rows)]
 
 
 def aut_order(t: MonodromyTuple) -> int:
@@ -251,19 +326,21 @@ def counting_check(G: FiniteGroup, spec: SurfaceSpec, k: int, f,
     part = (code[:, _conj(G)] * place[:, None, None]).transpose(1, 0, 2)
     part = part.reshape(n, L * n)
     offsets = (np.arange(L) * n)[:, None]
+    # keys[h, r], the key of row r conjugated by h, comes from one gather
+    # over `step` rows at a time, whose (n, L, step) intermediate holds at
+    # most _GATHER entries
+    step = max(1, _GATHER // (n * max(L, 1)))
+    shape = _Shape(G, spec.orientable, spec.genus, spec.constraints)
     canon, aut = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     vals = []
     for rows in blocks:
         at = rows + offsets
-        key = part[0][at].sum(axis=0)
-        low, fixed = key.copy(), np.ones_like(key)
-        for h in range(1, n):
-            conjugate = part[h][at].sum(axis=0)
-            fixed += conjugate == key
-            np.minimum(low, conjugate, out=low)
-        canon.append(low)
-        aut.append(fixed)
-        vals += map(f, _tuples_of(G, spec, rows))
+        for lo in range(0, at.shape[1], step):
+            keys = part[:, at[:, lo:lo + step]].sum(axis=1)
+            # the canonical key is the least conjugate; row 0 is h = 1
+            canon.append(keys.min(axis=0))
+            aut.append((keys == keys[0]).sum(axis=0))
+        vals += map(f, _tuples_of(shape, rows))
     # ints and Fractions are summed as they are, anything else exactly
     if not set(map(type, vals)) <= {int, Fraction}:
         vals = [v if isinstance(v, (int, Fraction)) else Fraction(v)
@@ -347,38 +424,53 @@ def bb_mass(G: FiniteGroup, spec: SurfaceSpec, pi: JumpMeasure,
     return _pair(mu, heat_kernel_series(pi, t, tail_tol).values)
 
 
+@functools.lru_cache(maxsize=64)
+def _poisson_cdf(intensity: float, tail_tol: float) -> tuple[float, ...]:
+    """P(N <= k) for k = 0..K of the truncated Poisson law."""
+    return tuple(itertools.accumulate(
+        poisson_weights(intensity, tail_tol).tolist()))
+
+
 def sample_covering(G: FiniteGroup, spec: SurfaceSpec, pi: JumpMeasure,
                     seed: int,
-                    classes: ConjugacyClassTable | None = None
+                    classes: ConjugacyClassTable | None = None,
+                    tail_tol: float = DEFAULT_TAIL_TOL
                     ) -> tuple[RamificationCounts, MonodromyTuple]:
     """One draw from the normalized bundle measure by rejection: sample the
-    ramification count from a Poisson law, the generator entries uniformly,
-    the twists from the normalized jump measure, and accept when the
-    surface relation closes. Every attempt redraws the count, so the
-    accepted pair carries the correct joint law."""
+    ramification count from a Poisson law truncated at tail_tol, the
+    generator entries uniformly, the twists from the normalized jump
+    measure, and accept when the surface relation closes. Every attempt
+    redraws the count, so the accepted pair carries the correct joint
+    law."""
     if classes is None:
         classes = conjugacy_classes(G)
     orbits = _orbits(spec, classes)
     _require_inversion_invariant(spec.orientable, pi)
-    intensity = float(pi.total_rate) * spec.area
-    cum_k = list(itertools.accumulate(poisson_weights(intensity,
-                                                      DEFAULT_TAIL_TOL)))
+    cum_k = _poisson_cdf(float(pi.total_rate) * spec.area, tail_tol)
     cum = list(itertools.accumulate(float(w)
                                     for w in pi.normalized().weights))
+    n, g, p = G.n, spec.genus, spec.boundaries
+    mul, inv = _tables(G, False)
+    steps = {}  # the relation with k twists, by k
     rng = random.Random(seed)
+    rand, randrange, choice = rng.random, rng.randrange, rng.choice
 
     for _ in range(_MAX_ATTEMPTS):
         # both draws invert a cumulative distribution by bisection; the
         # clamp covers a normalized sum that rounds below u
-        k = min(bisect.bisect_left(cum_k, rng.random()), len(cum_k) - 1)
-        a = tuple(rng.randrange(G.n) for _ in range(spec.genus))
-        c = tuple(rng.choice(orbit) for orbit in orbits)
-        d = tuple(bisect.bisect_left(cum, rng.random() * cum[-1])
-                  for _ in range(k))
-        steps = _relation_steps(spec.orientable, spec.genus, len(c) + k)
-        if holonomy_of_steps(G, steps, a + c + d) == 0:
+        k = min(bisect.bisect_left(cum_k, rand()), len(cum_k) - 1)
+        x = [randrange(n) for _ in range(g)]
+        x += [choice(orbit) for orbit in orbits]
+        x += [bisect.bisect_left(cum, rand() * cum[-1]) for _ in range(k)]
+        if k not in steps:
+            steps[k] = _relation_steps(spec.orientable, g, p + k)
+        h = 0
+        for e, rev in steps[k]:
+            h = mul[h * n + (inv[x[e]] if rev else x[e])]
+        if h == 0:
             return RamificationCounts((k,)), MonodromyTuple(
-                G, spec.orientable, spec.genus, spec.constraints, a, c, d)
+                G, spec.orientable, g, spec.constraints, tuple(x[:g]),
+                tuple(x[g:g + p]), tuple(x[g + p:]))
     raise RuntimeError(
         f"acceptance rate below {1.0 / _MAX_ATTEMPTS:g} after "
         f"{_MAX_ATTEMPTS} attempts; the relation admits too few tuples")

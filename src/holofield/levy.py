@@ -6,6 +6,7 @@ admissibility, and the heat kernel Q_t computed by two independent routes
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -55,11 +56,14 @@ class JumpMeasure:
     def group(self) -> FiniteGroup:
         return self.measure.group
 
-    @property
+    # total_rate, inversion_invariant and normalized() are computed once
+    # per instance; a cache keyed by the measure would hand a measure with
+    # float weights the result of an equal one with int weights
+    @functools.cached_property
     def total_rate(self):
         return self.measure.mass
 
-    @property
+    @functools.cached_property
     def inversion_invariant(self) -> bool:
         inv = self.group.inv
         w = self.measure.weights
@@ -70,6 +74,10 @@ class JumpMeasure:
 
     def normalized(self) -> ClassMeasure:
         """Pi_1 = Pi / Pi(G), the jump-target probability measure."""
+        return self._normalized
+
+    @functools.cached_property
+    def _normalized(self) -> ClassMeasure:
         m = self.total_rate
         if m == 0:
             raise ValueError("zero jump measure cannot be normalized")

@@ -206,6 +206,26 @@ def test_cover_sample_deterministic(files, capsys):
     assert doc1 == doc2
 
 
+
+def test_cover_sample_honours_tail_tol(files, capsys, tmp_path):
+    """A coarse --tail-tol truncates the ramification-count law: at
+    Pi(G) t = 20 it moves the drawn counts, and none passes the
+    truncation index."""
+    from holofield.levy import poisson_truncation_index
+
+    surface = tmp_path / "torus20.json"
+    surface.write_text(json.dumps({"orientable": True, "genus": 2,
+                                   "boundaries": 0, "area": 20.0}))
+    argv = ["cover", "sample", "--count", "8", "--seed", "3",
+            "--group", files["s3"], "--surface", str(surface),
+            "--levy", files["levy_s3"]]
+    _, fine = run_json(capsys, argv)
+    _, coarse = run_json(capsys, argv + ["--tail-tol", "0.3"])
+    fine_k = [case["k"] for case in fine["cases"]]
+    coarse_k = [case["k"] for case in coarse["cases"]]
+    assert fine_k != coarse_k
+    assert max(coarse_k) <= poisson_truncation_index(20.0, 0.3) < max(fine_k)
+
 def test_output_is_byte_stable(files, capsys):
     argv = ["group-info", "--group", files["s3"]]
     run(argv)

@@ -1,7 +1,9 @@
 """Ramified covering enumeration, exact counting, bundle masses, sampling,
 and agreement between field holonomy laws and covering monodromy laws."""
 
+import hashlib
 import math
+import pickle
 from collections import Counter
 from fractions import Fraction
 
@@ -165,6 +167,25 @@ def test_counting_rejects_noninvariant_functional_on_boundary():
     with pytest.raises(ValueError, match="conjugation-invariant"):
         counting_check(G, spec, k, lambda t: t.c[0])
 
+
+
+def test_counting_across_gather_and_block_bounds(monkeypatch):
+    """Gathers of two rows inside blocks of seven leave both sides of the
+    count unchanged, still catch a non-invariant functional, and still
+    count the sphere with no twists, whose tuples have no letters."""
+    import holofield.covering as covering
+    import holofield.loops as loops
+
+    G, spec, k = constrained_shape("S3 one-holed Klein bottle")
+    want = [counting_check(G, spec, k, f) for f in (lambda t: 1, aut_order)]
+    monkeypatch.setattr(covering, "_GATHER", 100)
+    monkeypatch.setattr(loops, "_BLOCK", 7)
+    assert [counting_check(G, spec, k, f)
+            for f in (lambda t: 1, aut_order)] == want
+    with pytest.raises(ValueError, match="conjugation-invariant"):
+        counting_check(G, spec, k, lambda t: t.d[0])
+    assert counting_check(G, sphere(), 0, lambda t: 1) == (Fraction(1, 6),
+                                                           Fraction(1, 6))
 
 @pytest.mark.parametrize("name, count, first, last", [
     ("S4 annulus", 1056, (1, 3, 1, 3), (21, 20, 23, 22)),
@@ -385,3 +406,80 @@ def test_enumeration_cap():
     G = build_group("S4")
     with pytest.raises(CapExceeded):
         enumerate_H(G, SurfaceSpec(True, 4, 0, 1.0), 4, cap=1000)
+
+
+def _digest_shapes():
+    """S3, D4, Q8, A4 and S4 on orientable genus 0 and 2 and non-orientable
+    genus 1 and 2, with 0-2 boundaries (classes 1 and r - 1) and 0-3
+    twists, wherever the enumeration has at most 600 rows."""
+    for name in ("S3", "D4", "Q8", "A4", "S4"):
+        G = build_group(name)
+        classes = conjugacy_classes(G)
+        for orientable, genera in ((True, (0, 2)), (False, (1, 2))):
+            for genus in genera:
+                for p in range(3):
+                    cons = (1, classes.r - 1)[:p]
+                    spec = SurfaceSpec(orientable, genus, p, 0.7, cons)
+                    for k in range(4):
+                        size = G.n ** (genus + max(k - 1, 0)) * math.prod(
+                            classes.sizes[c] for c in cons)
+                        if size <= 600:
+                            yield G, classes, spec, k
+
+
+def test_bundle_digest():
+    """Tuples, automorphism orders, both sides of the count for f = 1 and
+    f = |Aut|, and 20 sampled draws per surface, hashed over the sweep:
+    pins enumeration order, the count and the sampler's random stream."""
+    digest = hashlib.sha256()
+    for G, classes, spec, k in _digest_shapes():
+        for t in enumerate_H(G, spec, k):
+            digest.update(repr((t.entries(), aut_order(t))).encode())
+        for f in (lambda _: 1, aut_order):
+            digest.update(repr(counting_check(G, spec, k, f, classes))
+                          .encode())
+        if k == 0:
+            rates = {c: 1 + min(c, classes.inverse_class[c])
+                     for c in range(1, classes.r)}
+            pi = jump_measure_from_class_rates(G, rates, classes)
+            for seed in range(20):
+                counts, t = sample_covering(G, spec, pi, seed, classes)
+                digest.update(repr((counts.total, t.entries())).encode())
+    assert digest.hexdigest() == (
+        "279eaad498a419a1c700f32f2a63026b9ba3a304c30ee4f2b329429e523f0dac")
+
+
+def test_monodromy_tuple_surface():
+    """An enumerated tuple equals, hashes like and prints like the same
+    tuple built through the validating constructor, and cannot be
+    assigned to."""
+    G = build_group("S3")
+    spec = SurfaceSpec(False, 1, 1, 1.0, (1,))
+    t = enumerate_H(G, spec, 2)[5]
+    u = MonodromyTuple(G, False, 1, (1,), (0,), (2,), (3, 1))
+    assert t == u and hash(t) == hash(u) and len({t, u}) == 1
+    assert t != MonodromyTuple(G, False, 1, (1,), (0,), (2,), (4, 5))
+    assert (t.a, t.c, t.d, t.k) == ((0,), (2,), (3, 1), 2)
+    assert t.group is G and t.orientable is False and t.genus == 1
+    assert t.boundary_classes == (1,) and t.entries() == (0, 2, 3, 1)
+    assert repr(t) == (
+        "MonodromyTuple(group=FiniteGroup(S3, n=6), orientable=False, "
+        "genus=1, boundary_classes=(1,), a=(0,), c=(2,), d=(3, 1))")
+    assert pickle.loads(pickle.dumps(t)) == t
+    for name in ("a", "d", "group", "other"):
+        with pytest.raises(AttributeError):
+            setattr(t, name, ())
+    assert t.d == (3, 1)
+    Z2 = build_group("Z2")
+    assert repr(MonodromyTuple(Z2, True, 0, (), (), (), (1, 1))) == (
+        "MonodromyTuple(group=FiniteGroup(Z2, n=2), orientable=True, "
+        "genus=0, boundary_classes=(), a=(), c=(), d=(1, 1))")
+    for args, match in [
+        ((G, False, 1, (1,), (), (2,), (3, 1)), "genus entries"),
+        ((G, False, 1, (1,), (0,), (), (3, 1)), "boundary entries"),
+        ((G, False, 1, (1,), (0,), (0,), (3, 3)), "outside its class"),
+        ((G, True, 0, (), (), (), (0,)), "non-trivial"),
+        ((G, False, 1, (1,), (0,), (2,), (3, 2)), "surface relation"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            MonodromyTuple(*args)

@@ -46,6 +46,18 @@ def test_normalized_stays_exact_on_int_weights():
     assert all(isinstance(w, float) for w in floats.weights)
 
 
+def test_jump_measure_derives_once_per_instance():
+    """The total rate, inversion invariance and normalized law are
+    computed once per instance, and equality and the repr ignore them."""
+    G = build_group("S3")
+    pi = JumpMeasure(ClassMeasure(G, (0, 1, 1, 1, 1, 1)))
+    before = repr(pi)
+    assert pi.normalized() is pi.normalized()
+    assert pi.inversion_invariant and pi.total_rate == 5
+    assert repr(pi) == before
+    assert pi == JumpMeasure(ClassMeasure(G, (0, 1, 1, 1, 1, 1)))
+
+
 def test_class_rate_expansion():
     G = build_group("S3")
     classes = conjugacy_classes(G)
