@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import itertools
 import json
 import math
 import sys
@@ -71,8 +70,8 @@ from .covering import (
     bb_mass,
     counting_check,
     enumerate_H,
-    evaluate_word,
     sample_covering,
+    tame_law,
     verify_holo_mono,
 )
 
@@ -181,6 +180,25 @@ def load_map(cfg: RunConfig):
         raise InputError(f"bad map file: {exc}") from exc
 
 
+def load_surface_map(cfg: RunConfig, spec: SurfaceSpec):
+    """The --map file, which must have the surface's type and total area
+    (its areas are never rescaled), or else the surface's standard map."""
+    if cfg.map is None:
+        return standard_map(spec)
+    m = load_map(cfg)
+    got = euler_and_genus(m)[1:]
+    want = (spec.orientable, spec.genus, spec.boundaries)
+    if got != want:
+        raise InputError(f"the map's (orientable, genus, boundaries) "
+                         f"{got} are not the surface's {want}")
+    # a map without areas is refused by the route that reads them
+    total = math.fsum(m.areas) if m.areas is not None else spec.area
+    if abs(total - spec.area) > 1e-9 * spec.area:
+        raise InputError(f"the map's face areas sum to {total!r}, not the "
+                         f"surface area {spec.area!r}")
+    return m
+
+
 def emit(report: dict, cfg: RunConfig) -> str:
     if cfg.fmt == "json":
         return json.dumps(report, sort_keys=True, indent=2) + "\n"
@@ -275,7 +293,7 @@ def cmd_partition(cfg: RunConfig, args) -> dict:
     spec = load_surface(cfg)
     hk = HeatKernel(pi, character_table(G))
     z_formula = partition_formula(G, spec, hk)
-    m = load_map(cfg) if cfg.map is not None else standard_map(spec)
+    m = load_surface_map(cfg, spec)
     C = GConstraints(spec.constraints)
     z_graph = partition_graph(G, m, C, hk, cap=cfg.cap)
     lhs, rhs = (z_graph, z_formula) if cfg.via == "graph" \
@@ -368,17 +386,8 @@ def _suite_tame(cfg, hk, t):
     gens = list(tame.a) + list(tame.c) + list(tame.l)
     pmf, _ = marginal_generators(G, m2, GConstraints(), gens, hk,
                                  cap=cfg.cap)
-    g, f = len(tame.a), len(tame.l)
-    faces_q = [hk.density(m2.areas[i]).values for i in tame.face_of_l]
-    # the relation w(a) = z_1 ... z_f closes every (a, z_1 .. z_{f-1}) by
-    # z_f = z_{f-1}^-1 ... z_1^-1 w(a); the closed form is 0 off that set
-    last = [(i, -1) for i in range(g + f - 2, g - 1, -1)] + tame.w
-    closed = {}
-    for head in itertools.product(range(G.n), repeat=g + f - 1):
-        key = head + (evaluate_word(G, last, head),)
-        closed[key] = G.n ** (1 - g - f)
-        for zi, q in zip(key[g:], faces_q):
-            closed[key] *= q[zi]
+    # the closed form: face kernels on each tuple the relation allows
+    closed, _ = tame_law(G, m2, tame, hk)
     diff = max(abs(pmf.get(key, 0.0) - closed.get(key, 0.0))
                for key in closed.keys() | pmf.keys())
     return [{"case": "joint generator law = closed form",
@@ -484,6 +493,8 @@ def cmd_cover_mass(cfg: RunConfig, args) -> dict:
 
 
 def cmd_cover_sample(cfg: RunConfig, args) -> dict:
+    if args.count < 1:
+        raise InputError("--count must be at least 1")
     G = load_group(cfg)
     spec = load_surface(cfg)
     pi = load_levy(cfg, G)
@@ -501,7 +512,7 @@ def cmd_cover_verify(cfg: RunConfig, args) -> dict:
     G = load_group(cfg)
     spec = load_surface(cfg)
     pi = load_levy(cfg, G)
-    m = load_map(cfg) if cfg.map is not None else standard_map(spec)
+    m = load_surface_map(cfg, spec)
     hk = HeatKernel(pi, character_table(G))
     rep = verify_holo_mono(G, m, hk, GConstraints(spec.constraints),
                            tol=cfg.tol, cap=cfg.cap, tail_tol=cfg.tail_tol)

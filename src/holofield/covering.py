@@ -19,7 +19,7 @@ import functools
 import itertools
 import math
 import random
-from dataclasses import FrozenInstanceError, dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -36,7 +36,7 @@ from .levy import (
     DEFAULT_TAIL_TOL,
     HeatKernel,
     JumpMeasure,
-    heat_kernel_series,
+    SeriesKernel,
     poisson_weights,
 )
 from .surface import RibbonMap, SurfaceSpec, is_orientable
@@ -50,11 +50,10 @@ from .holonomy import (
     DEFAULT_CAP,
     CapExceeded,
     GConstraints,
-    _pair,
     _require_inversion_invariant,
-    _surface_law,
     marginal_generators,
     measure_m,
+    partition_formula,
 )
 
 # attempts sample_covering makes before it gives up
@@ -245,6 +244,8 @@ def _tuple_rows(G: FiniteGroup, spec: SurfaceSpec, k: int,
     last twist is forced by the surface relation and rows where it
     degenerates to the identity are dropped. The cap is checked here,
     before the first block."""
+    if k < 0:
+        raise ValueError("the number of twists must be non-negative")
     orbits = _orbits(spec, classes)
     g, p, free = spec.genus, spec.boundaries, max(k - 1, 0)
     size = G.n ** (g + free) * math.prod(len(o) for o in orbits)
@@ -406,22 +407,15 @@ def bb_mass(G: FiniteGroup, spec: SurfaceSpec, pi: JumpMeasure,
             t: float | None = None,
             classes: ConjugacyClassTable | None = None,
             tail_tol: float = DEFAULT_TAIL_TOL) -> float:
-    """Total mass of the Poisson-ramified bundle measure, computed from
-    convolution powers of the jump measure only. Independently equal to
-    the heat-kernel partition function."""
-    if classes is None:
-        classes = conjugacy_classes(G)
-    _require_inversion_invariant(spec.orientable, pi)
-    if t is None:
-        t = spec.area
-    mu = _surface_law(G, spec, classes)
-    # Z = sum_x Q_t(x) m({x}), with Q_t = n sum_k P(N = k) Pi_1^{*k} the
-    # series heat kernel.  Term by term this is sum_k P(N = k)
-    # twist_mass_contraction(k) on the surface with every boundary class
-    # inverted, since the twists close (w(a) c_1..c_p)^-1 (as
-    # _boundary_classes_for inverts classes on maps); the prefactor times
-    # the contraction's scale is n
-    return _pair(mu, heat_kernel_series(pi, t, tail_tol).values)
+    """Total mass of the Poisson-ramified bundle measure at area t
+    (default spec.area): partition_formula on the series kernel, which
+    reads convolution powers of the jump measure only."""
+    # Term by term this is sum_k P(N = k) twist_mass_contraction(k) on the
+    # surface with every boundary class inverted, since the twists close
+    # (w(a) c_1..c_p)^-1 (as _boundary_classes_for inverts classes on
+    # maps); the prefactor times the contraction's scale is n
+    spec = spec if t is None else replace(spec, area=t)
+    return partition_formula(G, spec, SeriesKernel(pi, tail_tol), classes)
 
 
 @functools.lru_cache(maxsize=64)
@@ -487,27 +481,22 @@ def _boundary_classes_for(tame: TameGenerators, C: GConstraints,
     return out
 
 
-def monodromy_marginal(G: FiniteGroup, m: RibbonMap, tame: TameGenerators,
-                       pi: JumpMeasure, C: GConstraints | None = None,
-                       classes: ConjugacyClassTable | None = None,
-                       tail_tol: float = DEFAULT_TAIL_TOL):
-    """Joint law of the tame-generator monodromies under the weighted
-    bundle measure, built face by face from Poisson-averaged convolution
-    powers of the jump measure. No heat kernel and no characters enter;
-    agreement with the holonomy route is a theorem, not an input. Returns
-    (pmf dict keyed like holonomy.marginal_generators, total mass)."""
+def tame_law(G: FiniteGroup, m: RibbonMap, tame: TameGenerators, kernel,
+             C: GConstraints | None = None,
+             classes: ConjugacyClassTable | None = None):
+    """Joint law of the tame generators, each face weighted by the kernel
+    (HeatKernel or SeriesKernel) at its area and the last one forced by the
+    relation: (pmf keyed like holonomy.marginal_generators, total mass)."""
     if classes is None:
         classes = conjugacy_classes(G)
     if C is None:
         C = GConstraints()
     if m.areas is None:
         raise ValueError("map must carry face areas")
-    _require_inversion_invariant(is_orientable(m), pi)
-    g = len(tame.a)
-    f = len(tame.l)
-    areas = [m.areas[i] for i in tame.face_of_l]
-    face_pmf = [np.array(heat_kernel_series(pi, t, tail_tol).values) / G.n
-                for t in areas]
+    _require_inversion_invariant(is_orientable(m), kernel.pi)
+    g, f = len(tame.a), len(tame.l)
+    face_pmf = [np.array(kernel.density(m.areas[i]).values) / G.n
+                for i in tame.face_of_l]
     orbit_classes = _boundary_classes_for(tame, C, classes)
     orbits = [classes.elements_of(c) for c in orbit_classes]
     p = len(orbits)
@@ -527,6 +516,16 @@ def monodromy_marginal(G: FiniteGroup, m: RibbonMap, tame: TameGenerators,
         # (a, c, z_1 .. z_{f-1}) fixes the row, so every key is new
         pmf.update(zip(map(tuple, rows.T.tolist()), val.tolist()))
     return pmf, math.fsum(pmf.values())
+
+
+def monodromy_marginal(G: FiniteGroup, m: RibbonMap, tame: TameGenerators,
+                       pi: JumpMeasure, C: GConstraints | None = None,
+                       classes: ConjugacyClassTable | None = None,
+                       tail_tol: float = DEFAULT_TAIL_TOL):
+    """Law of the tame-generator monodromies under the weighted bundle
+    measure: tame_law on the series kernel, so no characters enter and
+    agreement with the holonomy route is a theorem, not an input."""
+    return tame_law(G, m, tame, SeriesKernel(pi, tail_tol), C, classes)
 
 
 @dataclass

@@ -569,6 +569,8 @@ def convolve(mu: ClassMeasure, nu: ClassMeasure) -> ClassMeasure:
 
 def convolution_power(mu: ClassMeasure, k: int) -> ClassMeasure:
     """mu^{*k}; k = 0 gives the point mass at the identity."""
+    if k < 0:
+        raise ValueError("convolution power must be non-negative")
     G = mu.group
     a = _exact(mu.weights)
     if a is not None:

@@ -28,6 +28,7 @@ from .groups import (
 __all__ = [
     "JumpMeasure",
     "HeatKernel",
+    "SeriesKernel",
     "jump_measure_from_class_rates",
     "uniform_jump_measure",
     "check_admissible",
@@ -51,6 +52,9 @@ class JumpMeasure:
             raise ValueError("jump measure must vanish at the identity")
         if any(w < 0 for w in self.measure.weights):
             raise ValueError("jump measure must be non-negative")
+        if any(isinstance(w, float) and not math.isfinite(w)
+               for w in self.measure.weights):
+            raise ValueError("jump measure must be finite")
 
     @property
     def group(self) -> FiniteGroup:
@@ -257,6 +261,18 @@ def heat_kernel_series(
     for _ in range(h):
         q = _convolve(G, q, q)
     return ClassDensity(G, tuple((G.n * q).tolist()))
+
+
+@dataclass(frozen=True)
+class SeriesKernel:
+    """Q_t by heat_kernel_series (not cached), behind HeatKernel's
+    pi/density surface: the field routes read it with no characters."""
+
+    pi: JumpMeasure
+    tail_tol: float = DEFAULT_TAIL_TOL
+
+    def density(self, t: float) -> ClassDensity:
+        return heat_kernel_series(self.pi, t, self.tail_tol)
 
 
 def _character_sum(table: CharacterTable, exponents, t: float) -> ClassDensity:

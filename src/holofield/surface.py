@@ -9,6 +9,7 @@ and face splitting).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 
 __all__ = [
@@ -54,6 +55,8 @@ class SurfaceSpec:
             raise MapError("boundary count must be >= 0")
         if not self.area > 0:
             raise MapError("total area must be positive")
+        if not math.isfinite(self.area):
+            raise MapError("total area must be finite")
         if len(self.constraints) != self.boundaries:
             raise MapError("need one boundary class per boundary component")
 
@@ -186,8 +189,8 @@ class RibbonMap:
         areas = tuple(float(a) for a in areas)
         if len(areas) != len(faces(self).cycles):
             raise MapError("need one area per face")
-        if any(a <= 0 for a in areas):
-            raise MapError("face areas must be positive")
+        if not all(0 < a < math.inf for a in areas):
+            raise MapError("face areas must be positive and finite")
         # the derived data do not depend on the areas: the two maps share it
         return replace(self, areas=areas)
 

@@ -290,6 +290,101 @@ def test_non_finite_inputs_are_input_errors(files, capsys, argv):
     assert "must be finite" in captured.err
 
 
+def _quiet_input_error(capsys, argv) -> str:
+    """Run argv, check that it is an input error with nothing on stdout,
+    and return its stderr."""
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    return captured.err
+
+
+def test_negative_twist_count_is_input_error(files, capsys):
+    err = _quiet_input_error(capsys, [
+        "cover", "enumerate", "--k", "-1", "--group", files["s3"],
+        "--surface", files["torus"]])
+    assert "non-negative" in err
+
+
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_cover_sample_count_below_one_is_input_error(files, capsys, count):
+    err = _quiet_input_error(capsys, [
+        "cover", "sample", "--count", count, "--group", files["s3"],
+        "--surface", files["torus"], "--levy", files["levy_s3"]])
+    assert "--count must be at least 1" in err
+
+
+@pytest.mark.parametrize("command, bad", [
+    (command, bad)
+    for command in ("partition", "cover mass", "verify semigroup")
+    for bad in ("area", "rate", "nan-rate")
+    # verify suites read no surface file
+    if not (bad == "area" and command.startswith("verify"))])
+def test_non_finite_numbers_in_files_are_input_errors(files, capsys, command,
+                                                      bad):
+    """Infinity or NaN inside a surface or Levy file exits 2, as the same
+    value given by flag does."""
+    surface, levy = files["torus"], files["levy_s3"]
+    path = str(files["tmp"] / "bad.json")
+    with open(path, "w") as fh:
+        if bad == "area":
+            surface = path
+            json.dump({"orientable": True, "genus": 2,
+                       "area": float("inf")}, fh)
+        else:
+            levy = path
+            rate = float("inf") if bad == "rate" else float("nan")
+            json.dump({"rates": {"021": rate, "120": 0.5}}, fh)
+    command = command.split()
+    err = _quiet_input_error(capsys, command + [
+        "--group", files["s3"], "--surface", surface, "--levy", levy])
+    assert "must be finite" in err
+
+
+@pytest.mark.parametrize("area", [float("nan"), float("inf")])
+def test_non_finite_area_in_map_file_is_input_error(files, capsys, tmp_path,
+                                                   area):
+    from holofield.surface import SurfaceSpec, map_to_json, standard_map
+
+    doc = json.loads(map_to_json(standard_map(SurfaceSpec(True, 2, 0, 1.0))))
+    doc["areas"] = {"0": area}
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(doc))
+    for command in (["faces"], ["partition", "--via", "graph"]):
+        err = _quiet_input_error(capsys, command + [
+            "--map", str(path), "--group", files["s3"],
+            "--surface", files["torus"], "--levy", files["levy_s3"]])
+        assert "positive and finite" in err
+
+
+@pytest.mark.parametrize("command", [["partition", "--via", "graph"],
+                                     ["partition", "--via", "formula"],
+                                     ["cover", "verify-holo-mono"]],
+                         ids=" ".join)
+def test_map_that_disagrees_with_the_surface_is_input_error(
+        files, capsys, tmp_path, command):
+    """A --map must have the surface's type and, at --time or the file's
+    area, its total area; its areas are never rescaled."""
+    from holofield.surface import SurfaceSpec, map_to_json, standard_map
+
+    paths = {}
+    for name, spec in (("torus", SurfaceSpec(True, 2, 0, 1.0)),
+                       ("klein", SurfaceSpec(False, 2, 0, 1.0))):
+        paths[name] = tmp_path / f"{name}_map.json"
+        paths[name].write_text(map_to_json(standard_map(spec)))
+    common = command + ["--group", files["s3"], "--levy", files["levy_s3"],
+                        "--surface", files["torus"]]
+    err = _quiet_input_error(capsys, common + [
+        "--map", str(paths["torus"]), "--time", "2.0"])
+    assert "sum to 1.0, not the surface area 2.0" in err
+    err = _quiet_input_error(capsys, common + ["--map", str(paths["klein"])])
+    assert "(False, 2, 0) are not the surface's (True, 2, 0)" in err
+    # the same map at its own area is accepted
+    code, doc = run_json(capsys, common + ["--map", str(paths["torus"])])
+    assert code == 0 and doc["pass"] is True
+
+
 def test_bad_group_file_is_input_error(files, capsys):
     assert run(["group-info", "--group", files["broken"]]) == 2
 

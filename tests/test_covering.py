@@ -5,6 +5,7 @@ import hashlib
 import math
 import pickle
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -20,18 +21,33 @@ from holofield.covering import (
     evaluate_word,
     monodromy_marginal,
     sample_covering,
+    tame_law,
     twist_mass_contraction,
     verify_holo_mono,
 )
 from holofield.groups import build_group, character_table, conjugacy_classes
-from holofield.holonomy import CapExceeded, partition_formula
+from holofield.holonomy import (
+    CapExceeded,
+    GConstraints,
+    partition_formula,
+    partition_graph,
+)
 from holofield.levy import (
     HeatKernel,
+    SeriesKernel,
     jump_measure_from_class_rates,
     poisson_weights,
     uniform_jump_measure,
 )
-from holofield.surface import RibbonMap, SurfaceSpec, standard_map
+from holofield.loops import tame_generators
+from holofield.surface import (
+    RibbonMap,
+    SurfaceSpec,
+    faces,
+    split_face,
+    standard_map,
+    subdivide_edge,
+)
 
 
 def sphere(t=1.0, constraints=()):
@@ -483,3 +499,68 @@ def test_monodromy_tuple_surface():
     ]:
         with pytest.raises(ValueError, match=match):
             MonodromyTuple(*args)
+
+
+def _refined(spec):
+    """The standard map with one edge subdivided and face 0 split."""
+    m, _ = subdivide_edge(standard_map(spec), 0)
+    return split_face(m, 0, 0, len(faces(m).cycles[0]) // 2)[0]
+
+
+KERNEL_SPECS = [SurfaceSpec(True, 2, 0, 0.9),
+                SurfaceSpec(True, 0, 1, 0.7, (1,)),
+                SurfaceSpec(False, 2, 0, 1.1)]
+
+
+@pytest.mark.parametrize("gname", ["S3", "A4", "Q8", "D4"])
+@pytest.mark.parametrize("spec", KERNEL_SPECS, ids=["torus", "disk", "klein"])
+def test_graph_on_series_kernel_matches_formula_on_characters(gname, spec):
+    """The graph route reads a SeriesKernel as it reads a HeatKernel, so
+    graph = formula holds with no character on the graph side. In A4,
+    class 1 holds 3-cycles, which inversion sends to class 2, and the
+    orientable rates are one-sided."""
+    G = build_group(gname)
+    pi = jump_measure_from_class_rates(G, {1: 1.0, 2: 0.5}) \
+        if spec.orientable else uniform_jump_measure(G, 1.3)
+    hk = HeatKernel(pi, character_table(G))
+    zg = partition_graph(G, _refined(spec), GConstraints(spec.constraints),
+                         SeriesKernel(pi))
+    assert abs(zg - partition_formula(G, spec, hk)) <= 1e-10
+
+
+def test_tame_law_on_characters_matches_monodromy_marginal():
+    """One tame-generator law, read with either heat kernel."""
+    G = build_group("S3")
+    pi = jump_measure_from_class_rates(G, {1: 0.7, 2: 1.1})
+    m = split_face(standard_map(SurfaceSpec(True, 2, 0, 1.0)), 0, 0, 2,
+                   (0.4, 0.6))[0]
+    tame = tame_generators(m)
+    hk = HeatKernel(pi, character_table(G))
+    law, total = tame_law(G, m, tame, hk)
+    mono, mono_total = monodromy_marginal(G, m, tame, pi)
+    assert law.keys() == mono.keys()
+    assert max(abs(law[k] - mono[k]) for k in law) <= 1e-10
+    assert abs(total - mono_total) <= 1e-10
+
+
+def test_bb_mass_is_partition_formula_on_series_kernel():
+    G = build_group("A4")
+    pi = jump_measure_from_class_rates(G, {1: 1.0, 3: 0.25})
+    spec = SurfaceSpec(True, 2, 1, 1.0, (2,))
+    assert bb_mass(G, spec, pi) == partition_formula(
+        G, spec, SeriesKernel(pi))
+    assert bb_mass(G, spec, pi, 2.5, tail_tol=1e-6) == partition_formula(
+        G, replace(spec, area=2.5), SeriesKernel(pi, 1e-6))
+
+
+def test_negative_twist_count_is_rejected():
+    """k < 0 is an input error, not the k = 0 or k = 1 answer."""
+    G = build_group("S3")
+    spec = SurfaceSpec(True, 2, 0, 1.0)
+    pi = uniform_jump_measure(G, 1)
+    for call in (lambda: enumerate_H(G, spec, -1),
+                 lambda: counting_check(G, spec, -1, lambda _: 1),
+                 lambda: bb_mass_fixed_k(G, spec, pi, -1),
+                 lambda: twist_mass_contraction(G, spec, pi, -1)):
+        with pytest.raises(ValueError, match="non-negative"):
+            call()

@@ -157,6 +157,14 @@ def test_convolution_power_zero_is_point_mass():
     assert all(w == 0 for w in mu.weights[1:])
 
 
+def test_negative_convolution_power_is_rejected():
+    """Both the exact and the float branch refuse k < 0."""
+    G = build_group("S3")
+    for mu in (eta_measure(G), ClassMeasure(G, (0.5, 0.5, 0, 0, 0, 0))):
+        with pytest.raises(ValueError, match="non-negative"):
+            convolution_power(mu, -1)
+
+
 def test_delta_class_masses():
     G = build_group("S3")
     classes = conjugacy_classes(G)

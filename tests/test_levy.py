@@ -30,6 +30,15 @@ def test_jump_measure_rejects_identity_mass():
         jump_measure_from_class_rates(G, {0: 1.0})
 
 
+@pytest.mark.parametrize("rate", [math.inf, math.nan])
+def test_jump_measure_rejects_non_finite_rates(rate):
+    G = build_group("S3")
+    with pytest.raises(ValueError, match="finite"):
+        JumpMeasure(ClassMeasure(G, (0.0, rate, rate, rate, 0.0, 0.0)))
+    with pytest.raises(ValueError, match="finite"):
+        jump_measure_from_class_rates(G, {1: rate})
+
+
 def test_normalized_stays_exact_on_int_weights():
     """Int weights total an int, and the normalized law is still exact."""
     G = build_group("S3")

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -101,6 +102,18 @@ def test_orientable_genus_parity_enforced():
         SurfaceSpec(True, 1, 0, 1.0)
     with pytest.raises(MapError):
         SurfaceSpec(False, 0, 0, 1.0)
+
+
+@pytest.mark.parametrize("area", [math.inf, math.nan])
+def test_non_finite_areas_rejected(area):
+    with pytest.raises(MapError):
+        SurfaceSpec(True, 2, 0, area)
+    m = standard_map(SurfaceSpec(True, 2, 0, 1.0))
+    with pytest.raises(MapError):
+        m.with_areas([area])
+    split, _ = split_face(m, 0, 0, 2)
+    with pytest.raises(MapError):
+        split.with_areas([0.5, area])
 
 
 def test_subdivide_edge_preserves_topology_and_area():

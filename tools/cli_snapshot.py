@@ -12,11 +12,13 @@ The set: for seeds 201 and 202 and each of S3, Q8 and D4, the benchmark's
 ``write_inputs`` writes, three verify suites with ``--format csv`` and
 ``verify surgery --time 0``: 120 runs.  Then, on seed 201's files and
 the files this tool writes itself, 2 ``cover enumerate`` runs over the
-constrained Moebius bands of ``COVER_INPUTS`` (S4 and Q8) and 23 error
+constrained Moebius bands of ``COVER_INPUTS`` (S4 and Q8) and 27 error
 runs on ``BAD_INPUTS``: rejected options, missing, malformed and invalid
-input files, non-finite numbers, inadmissible jump measures (exit 2), cap
-exits (exit 3) and a failing verification (exit 1): 145 runs.  The input files are written
-with this checkout's ``holofield``, so every snapshot reads the same files.
+input files, non-finite numbers in flags and files, a negative twist
+count, a sample count below 1, a map that disagrees with its surface,
+inadmissible jump measures (exit 2), cap exits (exit 3) and a failing
+verification (exit 1): 149 runs.  The input files are written with this
+checkout's ``holofield``, so every snapshot reads the same files.
 """
 
 from __future__ import annotations
@@ -62,6 +64,8 @@ BAD_INPUTS = {
     "levy_nonadmissible.json": {"rates": {"120": 1.0}},
     "levy_zero.json": {"rates": {}},
     "surface_odd.json": {"orientable": True, "genus": 1, "area": 1.0},
+    "surface_inf.json": {"orientable": True, "genus": 2,
+                         "area": float("inf")},
     "map_invalid.json": {"darts": 4, "alpha": [[0, 1], [2, 2]],
                          "sigma": {"0": [0, 1, 2, 3]}},
 }
@@ -110,6 +114,13 @@ ERROR_RUNS = [
     ["verify", "semigroup", "--time", "inf"] + _S3,
     ["partition", "--time", "inf"] + _TORUS,
     ["verify", "semigroup", "--tol", "nan"] + _S3,
+    ["partition", "--surface", "surface_inf.json"] + _S3,
+    # a negative twist count, a sample count below 1, and a map whose face
+    # areas (1 in all) do not sum to the surface area at --time
+    ["cover", "enumerate", "--k", "-1"] + _TORUS,
+    ["cover", "sample", "--count", "0"] + _TORUS,
+    ["partition", "--via", "graph", "--map", "map_small.json",
+     "--time", "2.0"] + _TORUS,
     # a jump measure whose support does not generate S3, and a zero one
     ["verify", "semigroup", "--group", "group_S3.json",
      "--levy", "levy_nonadmissible.json"],
