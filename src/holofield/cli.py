@@ -39,6 +39,7 @@ from .groups import (
 from .levy import (
     DEFAULT_TAIL_TOL,
     HeatKernel,
+    SeriesKernel,
     check_admissible,
     heat_kernel_series,
     jump_measure_from_class_rates,
@@ -52,14 +53,12 @@ from .surface import (
     standard_map,
     subdivide_edge,
 )
-from .loops import tame_generators
 from .holonomy import (
     DEFAULT_CAP,
     CapExceeded,
     GConstraints,
     beta1,
     beta2,
-    marginal_generators,
     partition_formula,
     partition_graph,
     upsilon,
@@ -71,7 +70,6 @@ from .covering import (
     counting_check,
     enumerate_H,
     sample_covering,
-    tame_law,
     verify_holo_mono,
 )
 
@@ -360,38 +358,31 @@ def _suite_surgery(cfg, hk, t):
 
 def _suite_subdivision(cfg, hk, t):
     G = hk.group
+    # the graph side reads the series, so no characters are shared
+    series = SeriesKernel(hk.pi, cfg.tail_tol)
     cases = []
     for name, spec in (("torus", SurfaceSpec(True, 2, 0, t)),
                        ("disk", SurfaceSpec(True, 0, 1, t, (0,)))):
         zf = partition_formula(G, spec, hk)
         C = GConstraints(spec.constraints)
         m = standard_map(spec)
-        variants = [("standard", m),
-                    ("subdivided", subdivide_edge(m, 0)[0])]
-        cyc0 = faces(m).cycles[0]
-        if len(cyc0) >= 2:
-            variants.append(("split", split_face(m, 0, 0, 1)[0]))
-        for vname, mv in variants:
-            zg = partition_graph(G, mv, C, hk, cap=cfg.cap)
+        for vname, mv in (("standard", m),
+                          ("subdivided", subdivide_edge(m, 0)[0]),
+                          ("split", split_face(m, 0, 0, 1)[0])):
+            zg = partition_graph(G, mv, C, series, cap=cfg.cap)
             cases.append({"case": f"{name}/{vname} graph = formula",
                           **_compare(zg, zf, cfg.tol)})
     return cases
 
 
 def _suite_tame(cfg, hk, t):
-    G = hk.group
     m = standard_map(SurfaceSpec(True, 2, 0, t))
     m2, _ = split_face(m, 0, 0, 2, (0.4 * t, 0.6 * t))
-    tame = tame_generators(m2)
-    gens = list(tame.a) + list(tame.c) + list(tame.l)
-    pmf, _ = marginal_generators(G, m2, GConstraints(), gens, hk,
-                                 cap=cfg.cap)
-    # the closed form: face kernels on each tuple the relation allows
-    closed, _ = tame_law(G, m2, tame, hk)
-    diff = max(abs(pmf.get(key, 0.0) - closed.get(key, 0.0))
-               for key in closed.keys() | pmf.keys())
+    # tame_law on the characters is the closed form of the holonomy law
+    rep = verify_holo_mono(hk.group, m2, hk, tol=cfg.tol, cap=cfg.cap,
+                           kernel=hk)
     return [{"case": "joint generator law = closed form",
-             **_within(diff, cfg.tol)}]
+             **_within(rep.max_abs_diff, cfg.tol)}]
 
 
 def _holo_mono(rep) -> dict:
@@ -401,14 +392,14 @@ def _holo_mono(rep) -> dict:
 
 
 def _suite_holo_mono(cfg, hk, t):
+    series = SeriesKernel(hk.pi, cfg.tail_tol)
     cases = []
     specs = [("torus", SurfaceSpec(True, 2, 0, t))]
     if hk.pi.inversion_invariant:
         specs.append(("klein", SurfaceSpec(False, 2, 0, t)))
     for name, spec in specs:
         rep = verify_holo_mono(hk.group, standard_map(spec), hk,
-                               GConstraints(), tol=cfg.tol, cap=cfg.cap,
-                               tail_tol=cfg.tail_tol)
+                               tol=cfg.tol, cap=cfg.cap, kernel=series)
         cases.append({"case": f"{name} holonomy = monodromy",
                       **_holo_mono(rep)})
     return cases
@@ -515,7 +506,8 @@ def cmd_cover_verify(cfg: RunConfig, args) -> dict:
     m = load_surface_map(cfg, spec)
     hk = HeatKernel(pi, character_table(G))
     rep = verify_holo_mono(G, m, hk, GConstraints(spec.constraints),
-                           tol=cfg.tol, cap=cfg.cap, tail_tol=cfg.tail_tol)
+                           tol=cfg.tol, cap=cfg.cap,
+                           kernel=SeriesKernel(pi, cfg.tail_tol))
     return {"command": "cover verify-holo-mono", **_holo_mono(rep)}
 
 

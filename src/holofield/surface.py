@@ -539,7 +539,8 @@ def split_face(
                 # no explicit sub-areas: split proportionally to perimeter
                 sub[j] = m.areas[face] * len(c) / (r + 2)
     if m.areas is not None and sub_areas is not None:
-        if abs(sub_areas[0] + sub_areas[1] - m.areas[face]) > 1e-9:
+        area = m.areas[face]
+        if abs(sub_areas[0] + sub_areas[1] - area) > 1e-9 * area:
             raise MapError("sub-areas must sum to the split face's area")
         if min(sub_areas) <= 0:
             raise MapError("sub-areas must be positive")

@@ -100,22 +100,47 @@ def test_verify_suites_pass(files, capsys, suite):
 def test_verify_tame_fails_on_a_missing_law_key(files, capsys, monkeypatch):
     """The tame check runs over every generator tuple the relation allows,
     so a tuple the holonomy law leaves out is a failure, not unseen."""
-    import holofield.cli as cli
+    import holofield.covering as covering
 
-    full = cli.marginal_generators
+    full = covering.marginal_generators
 
     def dropped(*args, **kwargs):
         pmf, total = full(*args, **kwargs)
         del pmf[min(pmf)]
         return pmf, total
 
-    monkeypatch.setattr(cli, "marginal_generators", dropped)
+    monkeypatch.setattr(covering, "marginal_generators", dropped)
     code, doc = run_json(capsys, [
         "verify", "tame", "--group", files["s3"],
         "--surface", files["torus"], "--levy", files["levy_s3"]])
     assert code == 1
     assert doc["cases"][0]["pass"] is False
     assert doc["max_abs_diff"] > 1e-3
+
+
+def test_verify_subdivision_graph_side_reads_the_series(files, capsys,
+                                                       monkeypatch):
+    """The graph side of verify subdivision reads a SeriesKernel at
+    --tail-tol, so graph = formula does not share the characters it
+    checks."""
+    import holofield.cli as cli
+    from holofield.levy import SeriesKernel
+
+    full = cli.partition_graph
+    kernels = []
+
+    def recording(G, m, C, hk, *args, **kwargs):
+        kernels.append(hk)
+        return full(G, m, C, hk, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "partition_graph", recording)
+    code, doc = run_json(capsys, [
+        "verify", "subdivision", "--group", files["s3"],
+        "--levy", files["levy_s3"], "--tail-tol", "1e-11"])
+    assert code == 0
+    assert len(kernels) == len(doc["cases"]) == 6
+    assert all(type(k) is SeriesKernel and k.tail_tol == 1e-11
+               for k in kernels)
 
 
 def test_verify_on_nonorientable_surface(files, capsys):

@@ -5,7 +5,7 @@ import hashlib
 import math
 import pickle
 from collections import Counter
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 
 import pytest
@@ -29,6 +29,7 @@ from holofield.groups import build_group, character_table, conjugacy_classes
 from holofield.holonomy import (
     CapExceeded,
     GConstraints,
+    marginal_generators,
     partition_formula,
     partition_graph,
 )
@@ -541,6 +542,30 @@ def test_tame_law_on_characters_matches_monodromy_marginal():
     assert law.keys() == mono.keys()
     assert max(abs(law[k] - mono[k]) for k in law) <= 1e-10
     assert abs(total - mono_total) <= 1e-10
+
+
+def test_verify_holo_mono_reads_the_tame_side_from_its_kernel():
+    """On the split torus of verify tame, kernel=hk is the holonomy law
+    against tame_law on the characters, the default kernel is the series
+    at the default tail tolerance, and a report cannot be altered."""
+    G = build_group("S3")
+    pi = jump_measure_from_class_rates(G, {1: 0.7, 2: 1.1})
+    m = split_face(standard_map(SurfaceSpec(True, 2, 0, 1.0)), 0, 0, 2,
+                   (0.4, 0.6))[0]
+    tame = tame_generators(m)
+    hk = HeatKernel(pi, character_table(G))
+    law, _ = marginal_generators(G, m, GConstraints(),
+                                 list(tame.a) + list(tame.c) + list(tame.l),
+                                 hk)
+    closed, _ = tame_law(G, m, tame, hk)
+    report = verify_holo_mono(G, m, hk, kernel=hk)
+    assert report.max_abs_diff == max(
+        abs(law.get(key, 0.0) - closed.get(key, 0.0))
+        for key in law.keys() | closed.keys())
+    assert verify_holo_mono(G, m, hk) == verify_holo_mono(
+        G, m, hk, kernel=SeriesKernel(hk.pi))
+    with pytest.raises(FrozenInstanceError):
+        report.max_abs_diff = 0.0
 
 
 def test_bb_mass_is_partition_formula_on_series_kernel():

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 
 import pytest
 
@@ -144,6 +145,21 @@ def test_split_face_bad_areas_rejected():
     m = standard_map(SurfaceSpec(True, 2, 0, 1.0))
     with pytest.raises(MapError):
         split_face(m, 0, 0, 2, (0.4, 0.7))
+
+
+def test_split_face_checks_sub_areas_relative_to_the_area():
+    """Exact splits of a large face pass, though their float sum may round
+    off the area; a split off by 1e-6 of the area still fails."""
+    rng = random.Random(17)
+    for _ in range(2000):
+        area = 10 ** rng.uniform(6, 9)
+        f = rng.uniform(0.01, 0.99)
+        m = standard_map(SurfaceSpec(True, 2, 0, area))
+        m2, _ = split_face(m, 0, 0, 2, (f * area, (1 - f) * area))
+        assert sorted(m2.areas) == sorted((f * area, (1 - f) * area))
+    m = standard_map(SurfaceSpec(True, 2, 0, 1e6))
+    with pytest.raises(MapError, match="sum to the split face's area"):
+        split_face(m, 0, 0, 2, (0.4e6, 0.6e6 + 1.0))
 
 
 def test_split_then_subdivide_chain():

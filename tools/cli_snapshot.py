@@ -12,13 +12,15 @@ The set: for seeds 201 and 202 and each of S3, Q8 and D4, the benchmark's
 ``write_inputs`` writes, three verify suites with ``--format csv`` and
 ``verify surgery --time 0``: 120 runs.  Then, on seed 201's files and
 the files this tool writes itself, 2 ``cover enumerate`` runs over the
-constrained Moebius bands of ``COVER_INPUTS`` (S4 and Q8) and 27 error
-runs on ``BAD_INPUTS``: rejected options, missing, malformed and invalid
-input files, non-finite numbers in flags and files, a negative twist
-count, a sample count below 1, a map that disagrees with its surface,
-inadmissible jump measures (exit 2), cap exits (exit 3) and a failing
-verification (exit 1): 149 runs.  The input files are written with this
-checkout's ``holofield``, so every snapshot reads the same files.
+constrained Moebius bands of ``COVER_INPUTS`` (S4 and Q8), 1 ``cover
+verify-holo-mono`` run on the S3 torus with ``--map map_small.json`` and
+``--tail-tol 1e-10``, and 27 error runs on ``BAD_INPUTS``: rejected
+options, missing, malformed and invalid input files, non-finite numbers
+in flags and files, a negative twist count, a sample count below 1, a
+map that disagrees with its surface, inadmissible jump measures (exit 2),
+cap exits (exit 3) and a failing verification (exit 1): 150 runs.  The
+input files are written with this checkout's ``holofield``, so every
+snapshot reads the same files.
 """
 
 from __future__ import annotations
@@ -85,6 +87,11 @@ COVER_RUNS = [
      "--surface", "mobius_S4.json"],
     ["cover", "enumerate", "--k", "2", "--group", "group_Q8.json",
      "--levy", "levy_Q8.json", "--surface", "mobius_Q8.json"],
+    # a file map, whose series kernel carries a tail tolerance other than
+    # the default
+    ["cover", "verify-holo-mono", "--group", "group_S3.json",
+     "--levy", "levy_S3.json", "--surface", "torus.json",
+     "--map", "map_small.json", "--tail-tol", "1e-10"],
 ]
 
 _S3 = ["--group", "group_S3.json", "--levy", "levy_S3.json"]
