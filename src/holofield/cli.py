@@ -65,10 +65,9 @@ from .holonomy import (
     z_function,
 )
 from .covering import (
-    aut_order,
+    _enumerate_aut,
     bb_mass,
     counting_check,
-    enumerate_H,
     sample_covering,
     verify_holo_mono,
 )
@@ -460,12 +459,11 @@ def cmd_cover_enumerate(cfg: RunConfig, args) -> dict:
     G = load_group(cfg)
     spec = load_surface(cfg)
     pi = load_levy(cfg, G) if cfg.levy else None
-    tuples = enumerate_H(G, spec, args.k, cfg.cap)
     pi1 = pi.normalized() if pi is not None else None
     rows = []
-    for tp in tuples:
+    for tp, aut in _enumerate_aut(G, spec, args.k, cfg.cap):
         row = {"a": _labels(G, tp.a), "c": _labels(G, tp.c),
-               "d": _labels(G, tp.d), "aut_order": aut_order(tp)}
+               "d": _labels(G, tp.d), "aut_order": aut}
         if pi1 is not None:
             row["weight"] = float(math.prod(float(pi1.weights[x])
                                             for x in tp.d))

@@ -295,14 +295,12 @@ def aut_order(t: MonodromyTuple) -> int:
     return int(np.sum(np.all(_conj(t.group)[:, entries] == entries, axis=1)))
 
 
-def counting_check(G: FiniteGroup, spec: SurfaceSpec, k: int, f,
-                   classes: ConjugacyClassTable | None = None,
-                   cap: int = DEFAULT_CAP) -> tuple[Fraction, Fraction]:
-    """Two exact evaluations of the same bundle count: sum of f over
-    isomorphism classes weighted by 1/|Aut|, against the raw tuple sum
-    divided by |G|. f must be constant on conjugation orbits."""
-    if classes is None:
-        classes = conjugacy_classes(G)
+def _keyed_rows(G: FiniteGroup, spec: SurfaceSpec, k: int,
+                classes: ConjugacyClassTable, cap: int):
+    """The rows of _tuple_rows in chunks, each with every row's canonical
+    key, the least key among its conjugates, and its |Aut|, the number of
+    conjugations that fix it: (rows, canon, aut) with one gather per
+    chunk."""
     blocks = _tuple_rows(G, spec, k, classes, cap)
     n = G.n
     # each entry is keyed by its index in its own alphabet, which
@@ -330,16 +328,40 @@ def counting_check(G: FiniteGroup, spec: SurfaceSpec, k: int, f,
     # over `step` rows at a time, whose (n, L, step) intermediate holds at
     # most _GATHER entries
     step = max(1, _GATHER // (n * max(L, 1)))
-    shape = _Shape(G, spec.orientable, spec.genus, spec.constraints)
-    canon, aut = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
-    vals = []
     for rows in blocks:
         at = rows + offsets
         for lo in range(0, at.shape[1], step):
             keys = part[:, at[:, lo:lo + step]].sum(axis=1)
-            # the canonical key is the least conjugate; row 0 is h = 1
-            canon.append(keys.min(axis=0))
-            aut.append((keys == keys[0]).sum(axis=0))
+            # row 0 is h = 1
+            yield rows[:, lo:lo + step], keys.min(axis=0), \
+                (keys == keys[0]).sum(axis=0)
+
+
+def _enumerate_aut(G: FiniteGroup, spec: SurfaceSpec, k: int,
+                   cap: int = DEFAULT_CAP) -> list[tuple[MonodromyTuple, int]]:
+    """enumerate_H's tuples in its order, each with its aut_order, read
+    from the conjugate keys counting_check gathers."""
+    shape = _Shape(G, spec.orientable, spec.genus, spec.constraints)
+    return [pair for rows, _, aut in
+            _keyed_rows(G, spec, k, conjugacy_classes(G), cap)
+            for pair in zip(_tuples_of(shape, rows), aut.tolist())]
+
+
+def counting_check(G: FiniteGroup, spec: SurfaceSpec, k: int, f,
+                   classes: ConjugacyClassTable | None = None,
+                   cap: int = DEFAULT_CAP) -> tuple[Fraction, Fraction]:
+    """Two exact evaluations of the same bundle count: sum of f over
+    isomorphism classes weighted by 1/|Aut|, against the raw tuple sum
+    divided by |G|. f must be constant on conjugation orbits."""
+    if classes is None:
+        classes = conjugacy_classes(G)
+    n = G.n
+    shape = _Shape(G, spec.orientable, spec.genus, spec.constraints)
+    canon, aut = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    vals = []
+    for rows, key, fixed in _keyed_rows(G, spec, k, classes, cap):
+        canon.append(key)
+        aut.append(fixed)
         vals += map(f, _tuples_of(shape, rows))
     # ints and Fractions are summed as they are, anything else exactly
     if not set(map(type, vals)) <= {int, Fraction}:

@@ -12,6 +12,7 @@ diagonalization of the class-multiplication matrices.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -60,7 +61,7 @@ class FiniteGroup:
     _derived: dict = field(default_factory=dict, init=False, compare=False,
                            repr=False)
 
-    def _cached(self, key: str, build):
+    def _cached(self, key, build):
         if key not in self._derived:
             self._derived[key] = build(self)
         return self._derived[key]
@@ -104,6 +105,13 @@ class ConjugacyClassTable:
     def rep_label(self, c: int) -> str:
         return self.group.labels[self.reps[c]]
 
+    @functools.cached_property
+    def _class_array(self) -> np.ndarray:
+        """class_of as an index array, built once."""
+        out = np.array(self.class_of)
+        out.flags.writeable = False
+        return out
+
 
 @dataclass(frozen=True)
 class ClassMeasure:
@@ -135,6 +143,22 @@ class ClassMeasure:
 
     def scaled(self, factor) -> "ClassMeasure":
         return ClassMeasure(self.group, tuple(w * factor for w in self.weights))
+
+    @functools.cached_property
+    def _floats(self) -> np.ndarray:
+        """float(w) for every weight, converted once."""
+        return np.array(self.weights, dtype=float)
+
+    @functools.cached_property
+    def _exact(self):
+        """The weights as a (numerators, denominator) pair, converted once:
+        integer numerators over the lcm of the denominators, or None when
+        some weight is neither an int nor a Fraction."""
+        if not all(isinstance(w, (int, Fraction)) for w in self.weights):
+            return None
+        den = math.lcm(*(w.denominator for w in self.weights))
+        return _ints([w.numerator * (den // w.denominator)
+                      for w in self.weights]), den
 
 
 @dataclass(frozen=True)
@@ -169,21 +193,37 @@ class CharacterTable:
 # group construction
 
 
-def _validate_table(n: int, mul) -> None:
+def _table_array(mul) -> np.ndarray:
+    """The table as an array: as it is when it is an integer array, else
+    each entry through int(). Ragged rows are a GroupError."""
+    try:
+        table = np.asarray(mul)
+    except ValueError:  # ragged rows
+        table = None
+    if table is None or table.ndim != 2 or table.dtype.kind not in "iu":
+        rows = [[int(v) for v in row] for row in mul]
+        if any(len(row) != len(rows) for row in rows):
+            raise GroupError("multiplication table must be n x n")
+        table = np.array(rows)
+    return table
+
+
+def _validate_table(n: int, table: np.ndarray) -> None:
     if n <= 0:
         raise GroupError("group order must be positive")
-    if len(mul) != n or any(len(row) != n for row in mul):
+    if table.shape != (n, n):
         raise GroupError("multiplication table must be n x n")
-    for row in mul:
-        for v in row:
-            if not (0 <= v < n):
-                raise GroupError(f"table entry {v} out of range")
-    for x in range(n):
-        if mul[0][x] != x or mul[x][0] != x:
-            raise GroupError("element 0 is not an identity")
+    bad = (table < 0) | (table >= n)
+    if bad.any():
+        # the first bad entry in row order
+        raise GroupError(f"table entry {table.flat[bad.argmax()]} out of range")
+    x = np.arange(n)
+    if (table[0] != x).any() or (table[:, 0] != x).any():
+        raise GroupError("element 0 is not an identity")
     # Light's test: the s with (x s) y = x (s y) for all x, y are closed
     # under products, so checking a generating set is exact.  Generators
     # are picked greedily: the first element not yet reached as a product.
+    mul = table.tolist()
     gens: list[int] = []
     reached = {0}
     for x in range(n):
@@ -198,36 +238,35 @@ def _validate_table(n: int, mul) -> None:
                 if z not in reached:
                     reached.add(z)
                     frontier.append(z)
-    table = np.array(mul)
     for s in gens:
         if not np.array_equal(table[table[:, s]], table[:, table[s]]):
             raise GroupError("multiplication table is not associative")
 
 
-def _invert(n: int, mul) -> tuple[int, ...]:
-    inv = [-1] * n
-    for x in range(n):
-        for y in range(n):
-            if mul[x][y] == 0:
-                inv[x] = y
-                break
-        if inv[x] < 0:
-            raise GroupError(f"element {x} has no inverse")
-    return tuple(inv)
+def _invert(n: int, table: np.ndarray) -> np.ndarray:
+    # the first y with x y = 1, which is y = 0 when there is none
+    inv = (table == 0).argmax(axis=1)
+    missing = table[np.arange(n), inv] != 0
+    if missing.any():
+        raise GroupError(f"element {missing.argmax()} has no inverse")
+    return inv
 
 
 def _from_table(mul, labels=None, name="group") -> FiniteGroup:
-    n = len(mul)
-    mul = tuple(tuple(int(v) for v in row) for row in mul)
-    _validate_table(n, mul)
-    inv = _invert(n, mul)
+    table = _table_array(mul)
+    n = len(table)
+    _validate_table(n, table)
+    inv = _invert(n, table)
     if labels is None:
         labels = tuple(str(i) for i in range(n))
     else:
         labels = tuple(labels)
         if len(labels) != n:
             raise GroupError("labels length must equal group order")
-    return FiniteGroup(n=n, mul=mul, inv=inv, labels=labels, name=name)
+    G = FiniteGroup(n=n, mul=tuple(map(tuple, table.tolist())),
+                    inv=tuple(inv.tolist()), labels=labels, name=name)
+    G._derived["arrays"] = table.astype(np.intp).ravel(), inv.astype(np.intp)
+    return G
 
 
 def _cyclic(n: int) -> FiniteGroup:
@@ -243,7 +282,7 @@ def _from_permutations(perms: list[tuple[int, ...]], labels, name) -> FiniteGrou
     code, comp = p @ digits, p[:, p] @ digits
     order = np.argsort(code)
     mul = order[np.searchsorted(code, comp, sorter=order)]
-    return _from_table(mul.tolist(), labels, name=name)
+    return _from_table(mul, labels, name=name)
 
 
 def _permutations(k: int, name: str, even: bool = False) -> FiniteGroup:
@@ -254,7 +293,7 @@ def _permutations(k: int, name: str, even: bool = False) -> FiniteGroup:
 
     perms = [p for p in permutations(range(k))
              if not even or sum(a > b for a, b in combinations(p, 2)) % 2 == 0]
-    labels = ["".join(str(x) for x in p) for p in perms]
+    labels = ["".join(map(str, p)) for p in perms]
     return _from_permutations(perms, labels, name)
 
 
@@ -380,7 +419,7 @@ def character_table(
         raise CharacterTableError("class count above supported bound (64)")
     n = G.n
     mul = _tables(G, True)[0]
-    cls = np.array(classes.class_of)
+    cls = classes._class_array
     sizes = np.array(classes.sizes)
     # structure matrices: N[c, d, e] counts the pairs (x in C_c, y in C_d)
     # with x y in C_e
@@ -390,11 +429,12 @@ def character_table(
     # squares[c] counts the x with x^2 in C_c
     squares = np.bincount(cls[mul[np.arange(n) * (n + 1)]], minlength=r)
     for attempt in range(_CHAR_MAX_RETRIES):
-        rng = np.random.default_rng(1234 + attempt)
-        coeff = rng.standard_normal(r)
+        coeff = _combination(attempt, r)
         # structure constants a_{cde} = N[c,d,e] / |C_e|; the right
         # eigenvectors of sum_c coeff_c (a_{cde})_{d,e} are omega_alpha
-        M = np.tensordot(coeff, N, axes=(0, 0)) / sizes[None, :]
+        # (the product np.tensordot(coeff, N, axes=(0, 0)) takes)
+        M = np.dot(coeff[None], N.reshape(r, r * r)).reshape(r, r) \
+            / sizes[None, :]
         eigvals, eigvecs = np.linalg.eig(M)
         if r > 1 and np.min(
             np.abs(np.subtract.outer(eigvals, eigvals) + np.eye(r) * 1e9)
@@ -431,12 +471,22 @@ def character_table(
     )
 
 
+@functools.cache
+def _combination(attempt: int, r: int) -> np.ndarray:
+    """The seeded coefficients of character_table's attempt on r classes,
+    drawn once."""
+    coeff = np.random.default_rng(1234 + attempt).standard_normal(r)
+    coeff.flags.writeable = False
+    return coeff
+
+
 def _check_orthogonality(ct: CharacterTable) -> None:
-    r = ct.r
     n = ct.group.n
     sizes = np.array(ct.classes.sizes)
     gram = (ct.table * sizes) @ ct.table.conj().T
-    if not np.allclose(gram, n * np.eye(r), atol=1e-9 * n):
+    # np.allclose(gram, n I, atol=1e-9 n): |gram - n I| <= 1e-9 n + 1e-5 n I
+    nI = n * np.eye(ct.r)
+    if not (np.abs(gram - nI) <= 1e-9 * n + 1e-5 * nI).all():
         raise CharacterTableError("row orthogonality check failed")
     if abs(sum(d * d for d in ct.dims) - n) > 1e-9 * n:
         raise CharacterTableError("sum of squared dimensions != |G|")
@@ -455,11 +505,13 @@ def _tables(G: FiniteGroup, arrays: bool):
     """The multiplication table flattened (x*y at x*n + y) and the inverse
     table, built once per group: as integer arrays, which index a whole
     block of elements at once, or as tuples, which index one element
-    several times faster."""
+    several times faster.  _from_table sets the arrays from the array it
+    validated."""
     key = "arrays" if arrays else "tuples"
     if key not in G._derived:
-        mul = np.array(G.mul, dtype=np.intp).ravel()
-        G._derived["arrays"] = mul, np.array(G.inv, dtype=np.intp)
+        mul, _ = G._cached("arrays", lambda G: (
+            np.array(G.mul, dtype=np.intp).ravel(),
+            np.array(G.inv, dtype=np.intp)))
         G._derived["tuples"] = tuple(mul.tolist()), G.inv
     return G._derived[key]
 
@@ -479,14 +531,24 @@ def _ldiv(G: FiniteGroup) -> np.ndarray:
     return G._cached("ldiv", lambda G: np.array(G.mul)[list(G.inv)])
 
 
+def _columns(v: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """v[..., index] for a vector or a batch of them, without the cost of
+    an Ellipsis index on a vector."""
+    return v[index] if v.ndim == 1 else v[:, index]
+
+
 def _convolve(G: FiniteGroup, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(a * b)[x] = sum_y a[y] b[y^-1 x] for weight vectors indexed by
     element.  Only the rows where a is non-zero are multiplied, so sparse
     left operands stay cheap.  Float vectors multiply as they are; integer
     vectors exactly, in int64 while no sum can reach 2^63 (max|a| max|b|
-    times the rows multiplied) and in Python ints beyond."""
-    nz = a.nonzero()[0]
-    a, b = a[nz], b[_ldiv(G)[nz]]
+    times the rows multiplied) and in Python ints beyond.
+
+    Either operand may be a batch, one vector per row: an (r, n) left and
+    an (m, n) right operand give out[j, c] = a[c] * b[j], shape (m, r, n);
+    a batch on one side only gives one row per vector of that batch."""
+    nz = (a.any(axis=0) if a.ndim > 1 else a).nonzero()[0]
+    a, b = _columns(a, nz), _columns(b, _ldiv(G)[nz])
     if a.dtype.kind != "f" and len(nz):
         # a zero b still needs a's own entries to fit
         bound = int(np.abs(a).max()) * max(int(np.abs(b).max()), 1)
@@ -505,15 +567,6 @@ def _ints(values: list[int]) -> np.ndarray:
 
 # An exact weight vector is a (numerators, denominator) pair: an integer
 # array over one positive int.
-
-
-def _exact(weights):
-    """Weights as integer numerators over the lcm of their denominators,
-    or None when some weight is neither an int nor a Fraction."""
-    if not all(isinstance(w, (int, Fraction)) for w in weights):
-        return None
-    den = math.lcm(*(w.denominator for w in weights))
-    return _ints([w.numerator * (den // w.denominator) for w in weights]), den
 
 
 def _times(G: FiniteGroup, a, b):
@@ -541,17 +594,20 @@ def _class_law(classes: ConjugacyClassTable, c: int):
     denominator) pair: the class indicator over |C|."""
     if not (0 <= c < classes.r):
         raise ValueError(f"class index {c} out of range")
-    indicator = np.asarray(classes.class_of) == c
+    indicator = classes._class_array == c
     return indicator.astype(np.int64), classes.sizes[c]
 
 
 def _measure(G: FiniteGroup, a) -> ClassMeasure:
     """The ClassMeasure of a (numerators, denominator) pair, with one
-    Fraction built per distinct value."""
+    Fraction built per distinct value; it keeps the pair as its exact
+    form."""
     num, den = a
     values = num.tolist()
     frac = {v: Fraction(v, den) for v in set(values)}
-    return ClassMeasure(G, tuple(map(frac.__getitem__, values)))
+    mu = ClassMeasure(G, tuple(map(frac.__getitem__, values)))
+    mu.__dict__["_exact"] = a
+    return mu
 
 
 def convolve(mu: ClassMeasure, nu: ClassMeasure) -> ClassMeasure:
@@ -559,7 +615,7 @@ def convolve(mu: ClassMeasure, nu: ClassMeasure) -> ClassMeasure:
     measures are."""
     _require_same_group(mu, nu)
     G = mu.group
-    a, b = _exact(mu.weights), _exact(nu.weights)
+    a, b = mu._exact, nu._exact
     if a is not None and b is not None:
         return _measure(G, _times(G, a, b))
     out = _convolve(G, np.array(mu.weights, dtype=float),
@@ -572,7 +628,7 @@ def convolution_power(mu: ClassMeasure, k: int) -> ClassMeasure:
     if k < 0:
         raise ValueError("convolution power must be non-negative")
     G = mu.group
-    a = _exact(mu.weights)
+    a = mu._exact
     if a is not None:
         return _measure(G, _power(G, a, k))
     w = np.array(mu.weights, dtype=float)
@@ -631,11 +687,9 @@ def fourier_coefficient(mu: ClassMeasure, alpha: int, ct: CharacterTable) -> com
     """mu^(alpha) = sum_x conj(chi_alpha(x)) mu({x})."""
     if not (0 <= alpha < ct.r):
         raise ValueError(f"irrep index {alpha} out of range")
-    classes = ct.classes
-    total = 0j
-    for x in range(mu.group.n):
-        w = mu.weights[x]
-        if w == 0:
-            continue
-        total += complex(ct.table[alpha, classes.class_of[x]]).conjugate() * float(w)
-    return total
+    # conj(chi(x)) float(w_x) for every x, added left to right: the sum
+    # from 0j over the non-zero weights, as a running sum from 0j is never
+    # -0.0, so a zero term leaves it as it is; the + 0j turns a -0.0 that
+    # accumulate keeps from its first term into that sum's 0.0
+    terms = ct.table[alpha].conj()[ct.classes._class_array] * mu._floats
+    return complex(np.add.accumulate(terms)[-1]) + 0j

@@ -20,6 +20,7 @@ from .groups import (
     ConjugacyClassTable,
     FiniteGroup,
     _class_law,
+    _convolve,
     _letter_law,
     _measure,
     _power,
@@ -212,10 +213,10 @@ def partition_graph(G: FiniteGroup, m: RibbonMap, C: GConstraints,
 
 def _word_law(G: FiniteGroup, orientable: bool, genus: int):
     """Law of the surface word w(a) at uniform a, as a (numerators,
-    denominator) pair: eta^{*genus/2} for commutators, kappa^{*genus} for
-    squares."""
-    return _power(G, _letter_law(G, orientable),
-                  genus // 2 if orientable else genus)
+    denominator) pair built once per group and surface: eta^{*genus/2} for
+    commutators, kappa^{*genus} for squares."""
+    return G._cached(("word", orientable, genus), lambda G: _power(
+        G, _letter_law(G, orientable), genus // 2 if orientable else genus))
 
 
 def measure_m(G: FiniteGroup, spec: SurfaceSpec) -> ClassMeasure:
@@ -244,12 +245,25 @@ def _with_boundaries(G: FiniteGroup, mu, constraints,
     return mu
 
 
-def _pair(mu, q) -> float:
+# integers below 2^53 are exact as floats, so their float quotient is the
+# correctly rounded one
+_FLOAT_EXACT = 2 ** 53
+
+
+def _pair(mu, q):
     """sum_x q[x] mu({x}) for a (numerators, denominator) pair, added in
     element order. Each v / den is correctly rounded, as float(Fraction)
-    is."""
+    is. A batch, numerators (m, n) over a list of m denominators, gives
+    one value per row: divided in floats while every integer is below
+    _FLOAT_EXACT, else row by row in Python ints. Either way each row is
+    added by the builtin sum, as a single pair is."""
     num, den = mu
-    return float(sum(v / den * q[x] for x, v in enumerate(num.tolist())))
+    if num.ndim == 1:
+        return float(sum(v / den * q[x] for x, v in enumerate(num.tolist())))
+    if max(den) >= _FLOAT_EXACT or int(np.abs(num).max()) >= _FLOAT_EXACT:
+        return [_pair(row, q) for row in zip(num, den)]
+    terms = num.astype(float) / np.array(den, dtype=float)[:, None] * q
+    return [float(sum(row)) for row in terms.tolist()]
 
 
 def partition_formula(G: FiniteGroup, spec: SurfaceSpec, hk: HeatKernel,
@@ -287,20 +301,33 @@ def _tabulate(G: FiniteGroup, classes: ConjugacyClassTable, arity: int,
 def z_function(G: FiniteGroup, orientable: bool, p: int, g: int, t: float,
                hk: HeatKernel,
                classes: ConjugacyClassTable | None = None) -> SymmetricClassFunction:
-    """Tabulate the partition function over all p-tuples of classes."""
+    """Tabulate the partition function over all p-tuples of classes.
+
+    The laws of the sorted tuples of one length come from those one
+    shorter by one batched convolution with the class indicators, in
+    numerators left unreduced: v / den is the same float for every
+    representation of one rational. The tuples are kept in
+    combinations_with_replacement order."""
     if classes is None:
         classes = conjugacy_classes(G)
     _require_inversion_invariant(orientable, hk.pi)
     q = hk.density(t).values
-    # the law with each prefix of the sorted class tuples, built once
-    laws = {(): _word_law(G, orientable, g)}
-
-    def law(tup):
-        if tup not in laws:
-            laws[tup] = _with_boundaries(G, law(tup[:-1]), tup[-1:], classes)
-        return laws[tup]
-
-    return _tabulate(G, classes, p, lambda tup: _pair(law(tup), q))
+    num, den = _word_law(G, orientable, g)
+    if p == 0:
+        return SymmetricClassFunction(G, classes, 0, {(): _pair((num, den), q)})
+    r = classes.r
+    indicators = (np.arange(r)[:, None] == classes._class_array).astype(np.int64)
+    tuples, nums, dens = [()], num[None], [den]
+    for _ in range(p):
+        # each tuple grows by every class from its last one on
+        grown = [(j, c) for j, tup in enumerate(tuples)
+                 for c in range(tup[-1] if tup else 0, r)]
+        prefix, last = np.array(grown).T
+        nums = _convolve(G, indicators, nums)[prefix, last]
+        dens = [dens[j] * classes.sizes[c] for j, c in grown]
+        tuples = [tuples[j] + (c,) for j, c in grown]
+    return SymmetricClassFunction(G, classes, p,
+                                  dict(zip(tuples, _pair((nums, dens), q))))
 
 
 def upsilon(Z: SymmetricClassFunction) -> SymmetricClassFunction:

@@ -250,14 +250,14 @@ def heat_kernel_series(
     if m == 0:
         return ClassDensity(G, tuple([float(G.n)] + [0.0] * (G.n - 1)))
     h = max(0, math.ceil(math.log2(m)))
-    pi1 = np.array([float(w) for w in pi.normalized().weights])
-    step = pi1[_ldiv(G)]  # (mu @ step)[x] = (mu * Pi_1)(x)
-    power = np.zeros(G.n)
-    power[0] = 1.0
-    q = np.zeros(G.n)
-    for w in poisson_weights(m / 2 ** h, tail_tol / 2 ** h):
-        q += w * power
-        power = power @ step
+    step = pi.normalized()._floats[_ldiv(G)]  # (mu @ step)[x] = (mu * Pi_1)(x)
+    w = poisson_weights(m / 2 ** h, tail_tol / 2 ** h)
+    powers = np.zeros((len(w), G.n))
+    powers[0, 0] = 1.0
+    for k in range(1, len(w)):
+        powers[k] = powers[k - 1] @ step
+    # sum_k w_k Pi_1^{*k}, added in k order
+    q = np.add.accumulate(w[:, None] * powers)[-1]
     for _ in range(h):
         q = _convolve(G, q, q)
     return ClassDensity(G, tuple((G.n * q).tolist()))
@@ -281,13 +281,13 @@ def _character_sum(table: CharacterTable, exponents, t: float) -> ClassDensity:
         raise ValueError("time must be non-negative")
     coeffs = [cmath.exp(-t * lam) * d for lam, d in zip(exponents, table.dims)]
     per_class = []
-    for c in range(table.r):
-        z = sum(coeffs[a] * table.table[a, c] for a in range(table.r))
+    for column in table.table.T:
+        z = sum(k * chi for k, chi in zip(coeffs, column))
         if abs(z.imag) > 1e-9:
             raise ArithmeticError(
                 f"residual imaginary part {z.imag:.3e} in character sum"
             )
-        per_class.append(z.real)
+        per_class.append(float(z.real))
     return ClassDensity(table.group,
                         tuple(per_class[c] for c in table.classes.class_of))
 

@@ -543,3 +543,48 @@ def test_cli_snapshot_records_runs(tmp_path, monkeypatch):
     [record] = tool.snapshot(repo, str(tmp_path), [argv])
     assert (record["exit"], record["stdout"], record["stderr"]) == \
         (2, "", "error: bad group file: unknown builtin group 'S7'\n")
+
+
+def test_bench_ab_summary_on_canned_runs(monkeypatch):
+    """tools/bench_ab.py summarizes (base, head) pairs per end-to-end
+    metric: both medians, the base's interquartile range, the median
+    per-pair ratio and the pairs that favour the head in the metric's
+    better direction."""
+    import importlib.util
+    import os
+    import sys
+
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location(
+        "bench_ab", os.path.join(repo, "tools", "bench_ab.py"))
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    better = tool.end_to_end(repo)
+    assert better == {"jobs_per_s": "higher", "job_s.p50": "lower",
+                      "job_s.tail": "lower", "setup_s": "lower",
+                      "peak_rss_mb": "lower"}
+
+    def run(rate, setup):
+        return {"correct": True, "attempted": 5, "failed": 0, "metrics": {
+            "jobs_per_s": {"value": rate, "unit": "1/s"},
+            "job_s.p50": {"value": 1 / rate, "unit": "s"},
+            "job_s.tail": {"value": 2 / rate, "unit": "s"},
+            "setup_s": {"value": setup, "unit": "s"},
+            "peak_rss_mb": {"value": 40.0, "unit": "MB"}}}
+
+    pairs = [(run(100, 0.2), run(120, 0.3)), (run(110, 0.2), run(100, 0.1)),
+             (run(90, 0.2), run(135, 0.2)), (run(100, 0.4), run(125, 0.2))]
+    lines = tool.summary(pairs, better)
+    assert [line.split()[0] for line in lines] == list(better)
+    rate, p50, _, setup, rss = lines
+    # ratios 1.2, 0.909, 1.5, 1.25; base quartiles 92.5 and 107.5
+    assert "base 100 (IQR 15)" in rate and "head 122.5" in rate
+    assert "median ratio 1.225" in rate
+    assert "head better in 3/4 pairs (higher is better)" in rate
+    assert "head better in 3/4 pairs (lower is better)" in p50
+    assert "median ratio 0.750" in setup and "in 2/4 pairs" in setup
+    assert "median ratio 1.000" in rss and "in 0/4 pairs" in rss
+    line = tool.run_line(2, "head", pairs[2][1], better)
+    assert line.startswith("pair 2 head jobs_per_s=135 job_s.p50=")
+    assert line.endswith("peak_rss_mb=40 correct=True failed=0/5")

@@ -204,6 +204,28 @@ def test_counting_across_gather_and_block_bounds(monkeypatch):
     assert counting_check(G, sphere(), 0, lambda t: 1) == (Fraction(1, 6),
                                                            Fraction(1, 6))
 
+
+@pytest.mark.parametrize("name", ["S4 torus", "Q8 Moebius band"])
+def test_enumerate_aut_is_aut_order(name, monkeypatch):
+    """cover enumerate's |Aut| comes from counting_check's conjugate-key
+    gather: enumerate_H's tuples in its order, each with its aut_order,
+    also across gathers of two rows inside blocks of seven."""
+    import holofield.covering as covering
+    import holofield.loops as loops
+
+    if name == "S4 torus":
+        G, spec, k = build_group("S4"), SurfaceSpec(True, 2, 0, 1.0), 2
+    else:
+        G, spec, k = constrained_shape(name)
+    tuples = enumerate_H(G, spec, k)
+    want = [(t, aut_order(t)) for t in tuples]
+    assert covering._enumerate_aut(G, spec, k) == want
+    assert len(want) == {"S4 torus": 12792, "Q8 Moebius band": 688}[name]
+    if name == "Q8 Moebius band":
+        monkeypatch.setattr(covering, "_GATHER", 100)
+        monkeypatch.setattr(loops, "_BLOCK", 7)
+        assert covering._enumerate_aut(G, spec, k) == want
+
 @pytest.mark.parametrize("name, count, first, last", [
     ("S4 annulus", 1056, (1, 3, 1, 3), (21, 20, 23, 22)),
     ("Q8 Moebius band", 688, (0, 2, 1, 1, 3), (7, 3, 7, 7, 2)),

@@ -1,17 +1,23 @@
 import hashlib
+import itertools
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from holofield.covering import bb_mass
+import holofield.holonomy as holonomy
 from holofield.groups import (
+    CharacterTableError,
     ClassDensity,
     ClassMeasure,
     GroupError,
+    _check_orthogonality,
     _convolve,
+    _permutations,
     build_group,
     builtin_names,
     character_table,
@@ -90,6 +96,76 @@ def test_bad_table_rejected():
         build_group([[0, 1], [1, 1]])  # not a Latin square
     with pytest.raises(GroupError):
         build_group([[1, 0], [0, 1]])  # identity not at index 0
+
+
+def _swapped_z6():
+    # an intercalate of Z6 swapped: a Latin square with identity 0 that is
+    # not associative
+    table = [[(i + j) % 6 for j in range(6)] for i in range(6)]
+    table[1][2], table[1][5] = table[1][5], table[1][2]
+    table[4][2], table[4][5] = table[4][5], table[4][2]
+    return table
+
+
+@pytest.mark.parametrize("table, message", [
+    ([[0, 1, 2], [1, 2], [2, 0, 1]], "multiplication table must be n x n"),
+    # the first bad entry in row order is named
+    ([[0, 1, 2], [1, 7, -1], [2, 0, 5]], "table entry 7 out of range"),
+    ([[0, 1, 2], [2, 0, 1], [1, 2, 0]], "element 0 is not an identity"),
+    (_swapped_z6(), "multiplication table is not associative"),
+    # associative with an identity, but 1 x = 1 for every x
+    ([[0, 1, 2], [1, 1, 1], [2, 2, 2]], "element 1 has no inverse"),
+])
+def test_table_errors_are_pinned(table, message):
+    with pytest.raises(GroupError) as err:
+        build_group(table)
+    assert str(err.value) == message
+
+
+# sha256 of each character table's bytes, dims and Frobenius-Schur
+# indicators: the table is floating point, and its values, row order and
+# signs must not move with the code that builds it
+CHARACTER_TABLE_DIGESTS = {
+    "A4": "5cd5c3bd900c2f9777b0122cf3720f1091609cbd98ba8a7e4a7d9b8e31ad4b7d",
+    "D4": "efe0c68b57e1128c3ced534cb5b7683186bbb66338eaf15d9967a9ee06cd7e0e",
+    "Q8": "0f487e497be7bbc7ee4135340c60009e3f37c4949e044e227b7d702e1da28272",
+    "S3": "9b170a61840d786c610ec3e1cfe158cefe6059a749286ba77b272b18ef0453e9",
+    "S4": "6f7d253292349096c7a94c6ae266b2c7eb7db2a7ce54c55c826533d046086360",
+    "Z2": "08c528bf38280fdd8b715c5f2fce3494ed1ebfefc1cade95354fe1bdda074a05",
+    "Z3": "000e33dee1b1754ec5a8b445d286fe8d39abd07f33beb2e411919e37dd10cfea",
+    "Z4": "a614cbe2435b5374c2b242ac9c7a206f2d6c97dfbe43358c8fa86c6b7a1362af",
+    "Z6": "7dd8cc3c59a7ce2ac6f044861f7f1e31d838f63379fefda6f7ab78b0aaa86b2b",
+    "A5": "274dfd279b37f238daed52e0badc728ccab09678bc8c2150456d2d207da53acd",
+    "S5": "0e8943c7a3f42c12862f6ae48ffc1cdec2688eb071386b3637d5b3e3f6c9f1ea",
+    "S6": "0c7049cb86dab6ab168e04337272c55bb7b4dd66331f6fc3b91ab8b1c169f108",
+}
+
+
+def test_character_tables_are_pinned():
+    groups = {name: build_group(name) for name in builtin_names()}
+    groups.update(A5=_permutations(5, "A5", even=True),
+                  S5=_permutations(5, "S5"), S6=_permutations(6, "S6"))
+    digests = {}
+    for name, G in groups.items():
+        ct = character_table(G)
+        data = ct.table.tobytes() + repr((ct.dims, ct.fs_indicator)).encode()
+        digests[name] = hashlib.sha256(data).hexdigest()
+    assert digests == CHARACTER_TABLE_DIGESTS
+
+
+@pytest.mark.parametrize("name", ["S3", "Q8", "S4"])
+def test_orthogonality_check_rejects_a_moved_entry(name):
+    """Moving one entry by 1e-6 n moves the off-diagonal Gram entries
+    against every other row by at least that much, far past 1e-9 n. The
+    entries moved lie on the identity class, where no character is 0."""
+    G = build_group(name)
+    ct = character_table(G)
+    _check_orthogonality(ct)
+    for a in range(ct.r):
+        table = ct.table.copy()
+        table[a, 0] += 1e-6 * G.n
+        with pytest.raises(CharacterTableError, match="orthogonality"):
+            _check_orthogonality(replace(ct, table=table))
 
 
 def test_class_counts():
@@ -199,6 +275,42 @@ def test_eta_hat_is_inverse_dimension():
             assert abs(val - 1.0 / ct.dims[a]) < 1e-9
 
 
+def _fourier_loop(mu, alpha, ct):
+    """fourier_coefficient as a loop over the elements."""
+    classes = ct.classes
+    total = 0j
+    for x in range(mu.group.n):
+        w = mu.weights[x]
+        if w == 0:
+            continue
+        total += complex(ct.table[alpha, classes.class_of[x]]).conjugate() \
+            * float(w)
+    return total
+
+
+def test_fourier_coefficient_is_the_loop():
+    """One array expression over the weights gives the loop's value, to the
+    bit, for eta, kappa and jump measures with Fraction and float rates,
+    on every builtin and every irrep; so the heat-kernel exponents are the
+    loop's too."""
+    for name in builtin_names():
+        G = build_group(name)
+        classes = conjugacy_classes(G)
+        ct = character_table(G)
+        for rates in ({c: Fraction(c, 3) for c in range(1, classes.r)},
+                      {c: 0.25 + c / 7 for c in range(1, classes.r)}):
+            pi = jump_measure_from_class_rates(G, rates, classes)
+            for mu in (eta_measure(G), kappa_measure(G), pi.measure):
+                for a in range(ct.r):
+                    got, want = fourier_coefficient(mu, a, ct), \
+                        _fourier_loop(mu, a, ct)
+                    assert got == want and repr(got) == repr(want)
+            rate = complex(float(pi.total_rate))
+            assert HeatKernel(pi, ct).exponents == tuple(
+                rate - _fourier_loop(pi.measure, a, ct) / ct.dims[a]
+                for a in range(ct.r))
+
+
 def test_kappa_hat_is_fs_indicator():
     for name in builtin_names():
         G = build_group(name)
@@ -302,6 +414,31 @@ def _reference_pair(weights, q):
     return float(sum(float(w) * q[x] for x, w in enumerate(weights)))
 
 
+def test_batched_convolve_equals_rows():
+    """A batch on either side, or on both, gives the row-by-row products:
+    int64 numerators, Python ints past 2^63, and floats that are multiples
+    of 1/8, whose sums are exact in any order."""
+    G = build_group("A4")
+    classes = conjugacy_classes(G)
+    indicators = (np.arange(classes.r)[:, None]
+                  == np.array(classes.class_of)).astype(np.int64)
+    rng = random.Random(7)
+    small = np.array([[rng.randrange(50) for _ in range(G.n)]
+                      for _ in range(3)])
+    big = np.array([[rng.randrange(2 ** 62, 2 ** 64) for _ in range(G.n)]
+                    for _ in range(3)], dtype=object)
+    for a, b, dtype in ((indicators, small, np.int64),
+                        (indicators, big, object),
+                        (indicators * 2 ** 40, small * 2 ** 22, object),
+                        (indicators / 8, small / 8, float)):
+        out = _convolve(G, a, b)
+        assert out.shape == (len(b), len(a), G.n) and out.dtype == dtype
+        for j, c in itertools.product(range(len(b)), range(len(a))):
+            assert out[j, c].tolist() == _convolve(G, a[c], b[j]).tolist()
+            assert _convolve(G, a[c], b)[j].tolist() == out[j, c].tolist()
+            assert _convolve(G, a, b[j])[c].tolist() == out[j, c].tolist()
+
+
 def test_exact_convolution_of_signed_and_zero_vectors():
     """Signed Fraction and int vectors that are not class functions, and
     the zero vector, also beside a denominator past 2^63."""
@@ -397,3 +534,60 @@ def test_pairings_equal_the_fraction_pairing(gname, specs):
         for tup, value in z.values.items():
             spec = SurfaceSpec(orientable, g, 2, 0.6, tup)
             assert value == _reference_pair(_reference_m(G, spec), q)
+
+
+def _inversion_invariant_pi(G, classes):
+    """Fraction rates equal on each class and its inverse class."""
+    rates = {c: Fraction(3 * min(c, classes.inverse_class[c]) + 1, 7)
+             for c in range(1, classes.r)}
+    return jump_measure_from_class_rates(G, rates, classes)
+
+
+@pytest.mark.parametrize("gname", ["S3", "A4", "Q8", "S4"])
+def test_z_function_levels_equal_the_fraction_pairing(gname):
+    """z_function builds each arity level from the one before in one
+    batched convolution and pairs it in floats: every value, arity 0 to 3,
+    orientable and not, is == to the pairing of the reference measure.
+    A4's classes are not all self-inverse."""
+    G = build_group(gname)
+    classes = conjugacy_classes(G)
+    hk = HeatKernel(_inversion_invariant_pi(G, classes), character_table(G))
+    q = hk.density(0.6).values
+    for orientable, g in ((True, 2), (False, 1), (False, 3)):
+        for p in range(4):
+            z = z_function(G, orientable, p, g, 0.6, hk, classes)
+            assert list(z.values) == list(
+                itertools.combinations_with_replacement(range(classes.r), p))
+            for tup, value in z.values.items():
+                spec = SurfaceSpec(orientable, g, p, 0.6, tup)
+                assert value == _reference_pair(_reference_m(G, spec), q)
+
+
+def test_z_function_past_the_float_bound(monkeypatch):
+    """Numerators past 2^53 are paired in Python ints, and so are all of
+    them when the bound is lowered: the same table either way, == to the
+    reference. The kernel's values are Python floats, so the builtin sum
+    adds a batched row as it adds a single pairing (from Python 3.12 it
+    compensates floats, not numpy scalars)."""
+    G = build_group("S3")
+    classes = conjugacy_classes(G)
+    hk = HeatKernel(_inversion_invariant_pi(G, classes), character_table(G))
+    q = hk.density(0.4).values
+    assert all(type(v) is float for v in q)
+    assert holonomy._word_law(G, False, 53)[1] >= 2 ** 53
+    tables = [z_function(G, False, p, 53, 0.4, hk, classes).values
+              for p in range(3)]
+    for p, values in enumerate(tables):
+        for tup, value in values.items():
+            spec = SurfaceSpec(False, 53, p, 0.4, tup)
+            assert value == _reference_pair(_reference_m(G, spec), q)
+    A4 = build_group("A4")
+    hk4 = HeatKernel(_inversion_invariant_pi(A4, conjugacy_classes(A4)),
+                     character_table(A4))
+    small = [z_function(A4, o, 3, g, 0.7, hk4).values
+             for o, g in ((True, 2), (False, 3))]
+    monkeypatch.setattr(holonomy, "_FLOAT_EXACT", 1)
+    assert [z_function(G, False, p, 53, 0.4, hk, classes).values
+            for p in range(3)] == tables
+    assert [z_function(A4, o, 3, g, 0.7, hk4).values
+            for o, g in ((True, 2), (False, 3))] == small
