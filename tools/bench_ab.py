@@ -21,6 +21,7 @@ import argparse
 import json
 import os
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -85,6 +86,8 @@ def main() -> int:
     ap.add_argument("--seconds", type=float, default=30)
     args = ap.parse_args()
     better = end_to_end(ROOT)
+    # a terminated run still removes its worktree
+    signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
     scratch = tempfile.mkdtemp(prefix="bench_ab_")
     base_tree = os.path.join(scratch, "base")
     subprocess.run(["git", "worktree", "add", "--detach", base_tree,
