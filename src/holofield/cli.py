@@ -154,13 +154,20 @@ def load_surface(cfg: RunConfig) -> SurfaceSpec:
         raise InputError("a surface file is required (--surface)")
     try:
         data = _read_json(cfg.surface)
-        return SurfaceSpec(
-            bool(data["orientable"]),
-            int(data["genus"]),
-            int(data.get("boundaries", 0)),
-            float(data["area"] if cfg.time is None else cfg.time),
-            tuple(int(c) for c in data.get("constraints", ())),
-        )
+        orientable, genus = data["orientable"], data["genus"]
+        boundaries = data.get("boundaries", 0)
+        constraints = tuple(data.get("constraints", ()))
+        # JSON booleans and integers as they are: no truthiness, no
+        # truncated floats, no bools standing in for 0 and 1
+        if not isinstance(orientable, bool):
+            raise ValueError(f"orientable {orientable!r} is not true or false")
+        named = [("genus", genus), ("boundaries", boundaries)]
+        for name, value in named + [("constraint", c) for c in constraints]:
+            if type(value) is not int:
+                raise ValueError(f"{name} {value!r} is not an integer")
+        return SurfaceSpec(orientable, genus, boundaries,
+                           float(data["area"] if cfg.time is None else cfg.time),
+                           constraints)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad surface file: {exc}") from exc
 

@@ -288,13 +288,6 @@ def enumerate_H(G: FiniteGroup, spec: SurfaceSpec, k: int,
             for t in _tuples_of(shape, rows)]
 
 
-def aut_order(t: MonodromyTuple) -> int:
-    """Order of the automorphism group of the bundle: the centralizer of
-    the subgroup generated by all tuple entries."""
-    entries = list(t.entries())
-    return int(np.sum(np.all(_conj(t.group)[:, entries] == entries, axis=1)))
-
-
 def _keyed_rows(G: FiniteGroup, spec: SurfaceSpec, k: int,
                 classes: ConjugacyClassTable, cap: int):
     """The rows of _tuple_rows in chunks, each with every row's canonical
@@ -339,8 +332,8 @@ def _keyed_rows(G: FiniteGroup, spec: SurfaceSpec, k: int,
 
 def _enumerate_aut(G: FiniteGroup, spec: SurfaceSpec, k: int,
                    cap: int = DEFAULT_CAP) -> list[tuple[MonodromyTuple, int]]:
-    """enumerate_H's tuples in its order, each with its aut_order, read
-    from the conjugate keys counting_check gathers."""
+    """enumerate_H's tuples in its order, each with its |Aut|, read from
+    the conjugate keys counting_check gathers."""
     shape = _Shape(G, spec.orientable, spec.genus, spec.constraints)
     return [pair for rows, _, aut in
             _keyed_rows(G, spec, k, conjugacy_classes(G), cap)
@@ -456,7 +449,7 @@ def sample_covering(G: FiniteGroup, spec: SurfaceSpec, pi: JumpMeasure,
     generator entries uniformly, the twists from the normalized jump
     measure, and accept when the surface relation closes. Every attempt
     redraws the count, so the accepted pair carries the correct joint
-    law."""
+    law. CapExceeded after _MAX_ATTEMPTS rejections."""
     if classes is None:
         classes = conjugacy_classes(G)
     orbits = _orbits(spec, classes)
@@ -486,7 +479,7 @@ def sample_covering(G: FiniteGroup, spec: SurfaceSpec, pi: JumpMeasure,
             return RamificationCounts((k,)), MonodromyTuple(
                 G, spec.orientable, g, spec.constraints, tuple(x[:g]),
                 tuple(x[g:g + p]), tuple(x[g + p:]))
-    raise RuntimeError(
+    raise CapExceeded(
         f"acceptance rate below {1.0 / _MAX_ATTEMPTS:g} after "
         f"{_MAX_ATTEMPTS} attempts; the relation admits too few tuples")
 
@@ -497,7 +490,7 @@ def _boundary_classes_for(tame: TameGenerators, C: GConstraints,
     orientation the generator actually uses."""
     out = []
     for circuit, exponent in tame.c_meta:
-        cls = C.boundary_classes[circuit]
+        cls = classes.checked(C.boundary_classes[circuit])
         out.append(classes.inverse_class[cls] if exponent == -1 else cls)
     return out
 

@@ -99,7 +99,14 @@ class ConjugacyClassTable:
     reps: tuple[int, ...]              # one representative per class
     inverse_class: tuple[int, ...]     # class of x -> class of x^-1
 
+    def checked(self, c: int) -> int:
+        """c, when it indexes a class; ValueError otherwise."""
+        if not (0 <= c < self.r):
+            raise ValueError(f"class index {c} out of range")
+        return c
+
     def elements_of(self, c: int) -> list[int]:
+        c = self.checked(c)
         return [x for x in range(self.group.n) if self.class_of[x] == c]
 
     def rep_label(self, c: int) -> str:
@@ -592,9 +599,7 @@ def _power(G: FiniteGroup, a, k: int):
 def _class_law(classes: ConjugacyClassTable, c: int):
     """The uniform probability measure on class c as a (numerators,
     denominator) pair: the class indicator over |C|."""
-    if not (0 <= c < classes.r):
-        raise ValueError(f"class index {c} out of range")
-    indicator = classes._class_array == c
+    indicator = classes._class_array == classes.checked(c)
     return indicator.astype(np.int64), classes.sizes[c]
 
 

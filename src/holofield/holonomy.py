@@ -42,7 +42,6 @@ __all__ = [
     "GConstraints",
     "SymmetricClassFunction",
     "CapExceeded",
-    "constrained_configurations",
     "df_weight",
     "partition_graph",
     "measure_m",
@@ -161,23 +160,6 @@ def _weighted(G: FiniteGroup, m: RibbonMap, fixed: _GaugeFixed, extra=(),
         yield config, 1.0 / fixed.count * w
 
 
-def constrained_configurations(G: FiniteGroup, m: RibbonMap, C: GConstraints):
-    """Iterate (config, probability weight) pairs, one per gauge orbit of
-    the uniform measure with constraints: edges of a spanning tree at the
-    identity, the other free edges uniform, one edge per constrained cycle
-    forced so the cycle holonomy is uniform on its class. There are
-    n^(E - V + 1 - #cycles) prod |C_i| of them, each of weight 1/count,
-    and at most DEFAULT_CAP.
-
-    The mixture reproduces the uniform measure only for functionals
-    invariant under gauges that fix one vertex (any one): the face-weight
-    product, and holonomies of loops all based at that vertex."""
-    edges = m.edges()
-    for config, w in _weighted(G, m, _gauge_fixed(G, m, C, None, DEFAULT_CAP)):
-        for values, x in zip(config[edges].T.tolist(), w.tolist()):
-            yield dict(zip(edges, values)), x
-
-
 def _require_inversion_invariant(orientable: bool, pi: JumpMeasure) -> None:
     if not orientable and not pi.inversion_invariant:
         raise ValueError(
@@ -290,11 +272,13 @@ class SymmetricClassFunction:
 
 
 def _tabulate(G: FiniteGroup, classes: ConjugacyClassTable, arity: int,
-              entry) -> SymmetricClassFunction:
+              at, per_class) -> SymmetricClassFunction:
     """The symmetric function whose value at each sorted tuple of classes
-    is entry(tuple)."""
+    is (1/n) sum_x v[at[x]], v = per_class(tuple) one value per class:
+    each class is read once per tuple, and the sum runs in element
+    order."""
     return SymmetricClassFunction(G, classes, arity, {
-        tup: entry(tup) for tup in
+        tup: sum(map(per_class(tup).__getitem__, at)) / G.n for tup in
         itertools.combinations_with_replacement(range(classes.r), arity)})
 
 
@@ -335,8 +319,9 @@ def upsilon(Z: SymmetricClassFunction) -> SymmetricClassFunction:
     if Z.arity < 1:
         raise ValueError("arity must be at least 1")
     G, classes = Z.group, Z.classes
-    return _tabulate(G, classes, Z.arity - 1, lambda tup: sum(
-        Z(*tup, classes.class_of[G.mul[x][x]]) for x in range(G.n)) / G.n)
+    squares = [classes.class_of[G.mul[x][x]] for x in range(G.n)]
+    return _tabulate(G, classes, Z.arity - 1, squares, lambda tup: [
+        Z(*tup, c) for c in range(classes.r)])
 
 
 def beta1(Z: SymmetricClassFunction) -> SymmetricClassFunction:
@@ -344,9 +329,8 @@ def beta1(Z: SymmetricClassFunction) -> SymmetricClassFunction:
     if Z.arity < 2:
         raise ValueError("arity must be at least 2")
     G, classes = Z.group, Z.classes
-    return _tabulate(G, classes, Z.arity - 2, lambda tup: sum(
-        Z(*tup, classes.class_of[x], classes.class_of[G.inv[x]])
-        for x in range(G.n)) / G.n)
+    return _tabulate(G, classes, Z.arity - 2, classes.class_of, lambda tup: [
+        Z(*tup, c, classes.inverse_class[c]) for c in range(classes.r)])
 
 
 def beta2(Z1: SymmetricClassFunction, Z2: SymmetricClassFunction) -> SymmetricClassFunction:
@@ -355,10 +339,10 @@ def beta2(Z1: SymmetricClassFunction, Z2: SymmetricClassFunction) -> SymmetricCl
         raise ValueError("arities must be at least 1")
     G, classes = Z1.group, Z1.classes
     cut = Z1.arity - 1
-    return _tabulate(G, classes, Z1.arity + Z2.arity - 2, lambda tup: sum(
-        Z1(*tup[:cut], classes.class_of[z])
-        * Z2(*tup[cut:], classes.class_of[G.inv[z]])
-        for z in range(G.n)) / G.n)
+    return _tabulate(G, classes, Z1.arity + Z2.arity - 2, classes.class_of,
+                     lambda tup: [Z1(*tup[:cut], c)
+                                  * Z2(*tup[cut:], classes.inverse_class[c])
+                                  for c in range(classes.r)])
 
 
 def marginal_generators(G: FiniteGroup, m: RibbonMap, C: GConstraints,

@@ -33,7 +33,6 @@ __all__ = [
     "uniform_jump_measure",
     "check_admissible",
     "heat_kernel_series",
-    "positivity_support_check",
     "poisson_truncation_index",
     "poisson_weights",
 ]
@@ -113,9 +112,7 @@ def jump_measure_from_class_rates(
             except ValueError:
                 raise ValueError(
                     f"no conjugacy class with representative {key!r}") from None
-        if not (0 <= c < classes.r):
-            raise ValueError(f"class index {c} out of range")
-        if c in given:
+        if classes.checked(c) in given:
             raise ValueError(f"class {c} is given twice")
         given.add(c)
         per_class[c] = Fraction(rate) if not isinstance(rate, float) else rate
@@ -290,34 +287,3 @@ def _character_sum(table: CharacterTable, exponents, t: float) -> ClassDensity:
         per_class.append(float(z.real))
     return ClassDensity(table.group,
                         tuple(per_class[c] for c in table.classes.class_of))
-
-
-@dataclass
-class SupportReport:
-    subgroup: frozenset[int]
-    min_on_subgroup: float
-    max_off_subgroup: float
-    positive_on_subgroup: bool
-    vanishes_off_subgroup: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.positive_on_subgroup and self.vanishes_off_subgroup
-
-
-def positivity_support_check(pi: JumpMeasure, t: float) -> SupportReport:
-    """Q_t, by the series, is positive exactly on the subgroup generated by
-    supp(Pi) and within 1e-10 of zero off it."""
-    if t <= 0:
-        raise ValueError("time must be positive")
-    H = pi.group.subgroup_generated(pi.support())
-    q = heat_kernel_series(pi, t)
-    on = [q.values[x] for x in sorted(H)]
-    off = [q.values[x] for x in range(pi.group.n) if x not in H]
-    return SupportReport(
-        subgroup=H,
-        min_on_subgroup=min(on),
-        max_off_subgroup=max(map(abs, off)) if off else 0.0,
-        positive_on_subgroup=min(on) > 0,
-        vanishes_off_subgroup=(not off) or max(map(abs, off)) <= 1e-10,
-    )

@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -32,15 +31,11 @@ __all__ = [
     "reduce_word",
     "spanning_tree",
     "dual_spanning_tree",
-    "free_basis",
     "tame_generators",
     "refine_generators",
-    "holonomy_of_word",
     "holonomy_of_steps",
     "word_steps",
     "word_end",
-    "abelianization",
-    "abelian_rank",
 ]
 
 
@@ -54,16 +49,6 @@ class EdgeWord:
 
     def __len__(self):
         return len(self.darts)
-
-
-def validate_word(m: RibbonMap, w: EdgeWord) -> None:
-    at = w.base
-    for d in w.darts:
-        if not (0 <= d < m.n_darts):
-            raise MapError(f"dart {d} outside the map")
-        if m.vertex_of(d) != at:
-            raise MapError("word does not chain head-to-tail")
-        at = m.vertex_of(m.alpha[d])
 
 
 def word_end(m: RibbonMap, w: EdgeWord) -> int:
@@ -147,14 +132,6 @@ def _product_blocks(alphabets, rows=None):
                        dtype=np.intp).reshape(len(sizes), hi - lo)
 
 
-def holonomy_of_word(G: FiniteGroup, m: RibbonMap, config: dict[int, int],
-                     w: EdgeWord) -> int:
-    """Holonomy of a word: edge elements multiplied in traversal order,
-    inverted on reversed darts. config maps each edge id (its smaller dart)
-    to a group element."""
-    return holonomy_of_steps(G, word_steps(m, w.darts), config)
-
-
 def _find(comp: list[int], x: int) -> int:
     """Root of x in the union-find forest comp, halving the path."""
     while comp[x] != x:
@@ -234,44 +211,6 @@ def _lassos(m: RibbonMap, base: int, to_base, darts) -> EdgeWord:
     return EdgeWord(base, _reduced(m, (
         x for d in darts for x in (*_inv(m, to_base[m.vertex_of(d)]), d,
                                    *to_base[m.vertex_of(m.alpha[d])]))))
-
-
-def free_basis(m: RibbonMap, base: int) -> list[EdgeWord]:
-    """The lassos at base of the edges off the spanning tree."""
-    tree = spanning_tree(m)
-    to_base = _tree_paths(m, tree, base)
-    return [_lassos(m, base, to_base, [e]) for e in m.edges() if e not in tree]
-
-
-def abelianization(m: RibbonMap, w: EdgeWord) -> tuple[int, ...]:
-    """Signed edge-crossing counts of a word, indexed by positive edges."""
-    idx = {e: i for i, e in enumerate(m.edges())}
-    v = [0] * len(idx)
-    for d in w.darts:
-        e = m.edge_of(d)
-        v[idx[e]] += 1 if d == e else -1
-    return tuple(v)
-
-
-def abelian_rank(m: RibbonMap, words: list[EdgeWord]) -> int:
-    """Integer rank of the abelianized words over the edge lattice."""
-    rows = [[Fraction(x) for x in abelianization(m, w)] for w in words]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    pivot_row = 0
-    for col in range(ncols):
-        piv = next((r for r in range(pivot_row, len(rows)) if rows[r][col] != 0), None)
-        if piv is None:
-            continue
-        rows[pivot_row], rows[piv] = rows[piv], rows[pivot_row]
-        pr = rows[pivot_row]
-        for r in range(len(rows)):
-            if r != pivot_row and rows[r][col] != 0:
-                fac = rows[r][col] / pr[col]
-                rows[r] = [a - fac * b for a, b in zip(rows[r], pr)]
-        pivot_row += 1
-        rank += 1
-    return rank
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ __all__ = [
     "standard_map",
     "subdivide_edge",
     "split_face",
-    "gauge_flip",
     "map_to_json",
     "map_from_json",
     "default_areas",
@@ -545,22 +544,6 @@ def split_face(
         if min(sub_areas) <= 0:
             raise MapError("sub-areas must be positive")
     return _transfer_areas(m, new, cont, sub if sub else None), cont
-
-
-def gauge_flip(m: RibbonMap, vertex: int) -> RibbonMap:
-    """Reverse the local orientation at one vertex: the rotation there is
-    inverted and every non-loop edge at the vertex flips its signature."""
-    cyc = m.vertex_cycles()[vertex]
-    sigma = list(m.sigma)
-    inv = {m.sigma[d]: d for d in cyc}
-    for d in cyc:
-        sigma[d] = inv[d]
-    lam = list(m.lam)
-    for d in cyc:
-        if m.vertex_of(m.alpha[d]) != vertex:
-            lam[d] = -lam[d]
-            lam[m.alpha[d]] = -lam[m.alpha[d]]
-    return RibbonMap(m.alpha, tuple(sigma), tuple(lam), m.boundary)
 
 
 def map_to_json(m: RibbonMap) -> str:

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from holofield.covering import bb_mass, counting_check, aut_order
+from holofield.covering import bb_mass, counting_check
 from holofield.groups import (
     build_group,
     builtin_names,
@@ -39,7 +39,6 @@ from holofield.levy import (
 )
 from holofield.loops import (
     EdgeWord,
-    free_basis,
     reduce_word,
     tame_generators,
 )
@@ -52,6 +51,7 @@ from holofield.surface import (
     standard_map,
     subdivide_edge,
 )
+from oracles import aut_order, free_basis
 
 
 def make_hk(name):

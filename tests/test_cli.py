@@ -452,6 +452,83 @@ def test_cap_exit_code(files, capsys):
     assert code == 3
 
 
+def _disk(tmp_path, index) -> str:
+    """A disk surface file whose boundary lies in class `index`."""
+    path = tmp_path / f"disk_{index}.json"
+    path.write_text(json.dumps({"orientable": True, "genus": 0,
+                                "boundaries": 1, "area": 1.0,
+                                "constraints": [index]}))
+    return str(path)
+
+
+@pytest.mark.parametrize("index", [7, -1])
+def test_cover_enumerate_refuses_a_bad_boundary_class(files, capsys,
+                                                      tmp_path, index):
+    """S3 has 3 classes: index 7 lists no tuple and -1 must not wrap."""
+    err = _quiet_input_error(capsys, [
+        "cover", "enumerate", "--k", "1", "--group", files["s3"],
+        "--surface", _disk(tmp_path, index)])
+    assert f"class index {index} out of range" in err
+
+
+@pytest.mark.parametrize("index", [7, -1])
+def test_cover_sample_refuses_a_bad_boundary_class(files, capsys, tmp_path,
+                                                   index):
+    err = _quiet_input_error(capsys, [
+        "cover", "sample", "--group", files["s3"], "--levy", files["levy_s3"],
+        "--surface", _disk(tmp_path, index)])
+    assert f"class index {index} out of range" in err
+
+
+@pytest.mark.parametrize("index", [7, -1])
+def test_cover_verify_holo_mono_refuses_a_bad_boundary_class(
+        files, capsys, tmp_path, index):
+    err = _quiet_input_error(capsys, [
+        "cover", "verify-holo-mono", "--group", files["s3"],
+        "--levy", files["levy_s3"], "--surface", _disk(tmp_path, index)])
+    assert f"class index {index} out of range" in err
+
+
+def test_cover_sample_that_gives_up_is_a_cap_exit(files, capsys, tmp_path,
+                                                  monkeypatch):
+    """Rates on the 3-cycles alone never close a disk whose boundary is a
+    transposition: the sampler runs out of attempts and exits 3."""
+    import holofield.covering as covering
+
+    monkeypatch.setattr(covering, "_MAX_ATTEMPTS", 1000)
+    levy = tmp_path / "levy_3cycles.json"
+    levy.write_text(json.dumps({"rates": {"120": 1.0}}))
+    code = run(["cover", "sample", "--group", files["s3"],
+                "--levy", str(levy), "--surface", files["disk"]])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "after 1000 attempts" in captured.err
+
+
+@pytest.mark.parametrize("surface", [
+    {"orientable": "false", "genus": 2},
+    {"orientable": 1, "genus": 2},
+    {"orientable": True, "genus": 2.9},
+    {"orientable": False, "genus": True},
+    {"orientable": True, "genus": 0, "boundaries": 1.0,
+     "constraints": [1]},
+    {"orientable": True, "genus": 0, "boundaries": 1,
+     "constraints": [True]},
+    {"orientable": True, "genus": 0, "boundaries": 1,
+     "constraints": [1.5]},
+], ids=json.dumps)
+def test_surface_file_types_are_strict(files, capsys, tmp_path, surface):
+    """orientable must be a JSON boolean and genus, boundaries and each
+    constraint JSON integers: none is coerced into another surface."""
+    path = tmp_path / "surface.json"
+    path.write_text(json.dumps({**surface, "area": 1.0}))
+    err = _quiet_input_error(capsys, [
+        "partition", "--group", files["s3"], "--levy", files["levy_s3"],
+        "--surface", str(path)])
+    assert err.startswith("error: bad surface file: ")
+
+
 def test_verify_failure_exit_code(files, capsys, tmp_path):
     """A jump measure missing inversion symmetry is rejected as bad input
     on a non-orientable surface."""

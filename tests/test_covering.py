@@ -12,7 +12,6 @@ import pytest
 
 from holofield.covering import (
     MonodromyTuple,
-    aut_order,
     bb_mass,
     bb_mass_fixed_k,
     canonical_word,
@@ -49,6 +48,7 @@ from holofield.surface import (
     standard_map,
     subdivide_edge,
 )
+from oracles import aut_order
 
 
 def sphere(t=1.0, constraints=()):

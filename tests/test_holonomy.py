@@ -15,9 +15,10 @@ from holofield.groups import (
 from holofield.holonomy import (
     CapExceeded,
     GConstraints,
+    _gauge_fixed,
+    _weighted,
     beta1,
     beta2,
-    constrained_configurations,
     df_weight,
     gauge_transform,
     marginal_generators,
@@ -31,8 +32,6 @@ from holofield.holonomy import (
 from holofield.levy import HeatKernel, uniform_jump_measure
 from holofield.loops import (
     EdgeWord,
-    free_basis,
-    holonomy_of_word,
     spanning_tree,
     tame_generators,
 )
@@ -44,6 +43,7 @@ from holofield.surface import (
     standard_map,
     subdivide_edge,
 )
+from oracles import free_basis, holonomy_of_word
 
 
 def make_hk(name, rate=1.0):
@@ -393,7 +393,9 @@ def test_gauge_fixed_count_and_cap():
     spec = SurfaceSpec(True, 0, 3, 1.0, (1, 1, 2))
     m, _ = subdivide_edge(standard_map(spec), 0)
     C = GConstraints(boundary_classes=spec.constraints)
-    configs = list(constrained_configurations(G, m, C))
+    configs = [(row, w) for config, ws in
+               _weighted(G, m, _gauge_fixed(G, m, C, None))
+               for row, w in zip(config[m.edges()].T.tolist(), ws.tolist())]
     assert len(configs) == 18
     assert all(w == pytest.approx(1 / 18, abs=1e-15) for _, w in configs)
     partition_graph(G, m, C, hk, cap=18)

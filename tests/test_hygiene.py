@@ -1,14 +1,17 @@
 """Source hygiene of the package, read with ast alone: every imported name
 is used, every __all__ entry names something the module defines, and every
-private module-level helper is referenced somewhere in the package."""
+private module-level helper is referenced somewhere in the package. The
+tests' oracle module is held to the same import and private-helper checks,
+its helpers referenced within it."""
 
 import ast
 import glob
 import os
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                   "src", "holofield")
+TESTS = os.path.dirname(os.path.abspath(__file__))
+SRC = os.path.join(os.path.dirname(TESTS), "src", "holofield")
 MODULES = sorted(glob.glob(os.path.join(SRC, "*.py")))
+ORACLES = os.path.join(TESTS, "oracles.py")
 
 
 def _parse(path):
@@ -56,10 +59,10 @@ def _defined(tree):
     return out
 
 
-def _per_module(check):
+def _per_module(check, paths=MODULES):
     """check(tree) for every module, keeping the non-empty results."""
     out = {}
-    for path in MODULES:
+    for path in paths:
         found = sorted(check(_parse(path)))
         if found:
             out[os.path.basename(path)] = found
@@ -68,7 +71,8 @@ def _per_module(check):
 
 def test_every_import_is_used():
     assert MODULES
-    assert _per_module(lambda tree: _imported(tree) - _used(tree)) == {}
+    assert _per_module(lambda tree: _imported(tree) - _used(tree),
+                       MODULES + [ORACLES]) == {}
 
 
 def test_all_names_are_defined():
@@ -100,3 +104,10 @@ def test_every_private_definition_is_referenced():
     """A private helper nothing in the package calls is dead code."""
     used = set().union(*(_references(_parse(p)) for p in MODULES))
     assert _per_module(lambda tree: _private_definitions(tree) - used) == {}
+
+
+def test_every_oracle_private_definition_is_referenced():
+    """The oracles serve the tests alone, so their private helpers must be
+    called from within the oracle module."""
+    assert _per_module(lambda tree: _private_definitions(tree)
+                       - _references(tree), [ORACLES]) == {}

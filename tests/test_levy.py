@@ -19,9 +19,9 @@ from holofield.levy import (
     jump_measure_from_class_rates,
     poisson_truncation_index,
     poisson_weights,
-    positivity_support_check,
     uniform_jump_measure,
 )
+from oracles import positivity_support_check
 
 
 def test_jump_measure_rejects_identity_mass():

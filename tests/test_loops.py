@@ -11,17 +11,12 @@ from hypothesis import strategies as st
 from holofield.groups import build_group
 from holofield.loops import (
     EdgeWord,
-    abelian_rank,
-    abelianization,
     concat,
-    free_basis,
-    holonomy_of_word,
     inverse,
     reduce_word,
     refine_generators,
     spanning_tree,
     tame_generators,
-    validate_word,
     word_end,
 )
 from holofield.surface import (
@@ -31,6 +26,13 @@ from holofield.surface import (
     split_face,
     standard_map,
     subdivide_edge,
+)
+from oracles import (
+    abelian_rank,
+    abelianization,
+    free_basis,
+    holonomy_of_word,
+    validate_word,
 )
 
 

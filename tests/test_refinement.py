@@ -21,8 +21,7 @@ from holofield.holonomy import (
     sample_df,
 )
 from holofield.levy import HeatKernel, uniform_jump_measure
-from holofield.loops import EdgeWord, free_basis, holonomy_of_word, \
-    tame_generators
+from holofield.loops import EdgeWord, tame_generators
 from holofield.surface import (
     SurfaceSpec,
     euler_and_genus,
@@ -31,6 +30,7 @@ from holofield.surface import (
     standard_map,
     subdivide_edge,
 )
+from oracles import free_basis, holonomy_of_word
 
 G = build_group("S3")
 PI = uniform_jump_measure(G)

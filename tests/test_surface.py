@@ -11,7 +11,6 @@ from holofield.surface import (
     default_areas,
     euler_and_genus,
     faces,
-    gauge_flip,
     is_orientable,
     map_from_json,
     map_to_json,
@@ -19,6 +18,7 @@ from holofield.surface import (
     standard_map,
     subdivide_edge,
 )
+from oracles import gauge_flip
 
 
 def torus_map():
