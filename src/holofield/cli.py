@@ -165,8 +165,10 @@ def load_surface(cfg: RunConfig) -> SurfaceSpec:
         for name, value in named + [("constraint", c) for c in constraints]:
             if type(value) is not int:
                 raise ValueError(f"{name} {value!r} is not an integer")
-        return SurfaceSpec(orientable, genus, boundaries,
-                           float(data["area"] if cfg.time is None else cfg.time),
+        area = data["area"] if cfg.time is None else cfg.time
+        if isinstance(area, bool) or not isinstance(area, (int, float)):
+            raise ValueError(f"area {area!r} is not a number")
+        return SurfaceSpec(orientable, genus, boundaries, float(area),
                            constraints)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad surface file: {exc}") from exc

@@ -478,11 +478,44 @@ def character_table(
     )
 
 
+# np.random.default_rng(1234).standard_normal(64) written out: attempt
+# 0's coefficients for up to 64 classes (standard_normal(r) is its first r
+# values).  Attempt 0, which every group built so far takes, reads them
+# without loading numpy.random, and they stay put if numpy's stream moves.
+_FIRST_DRAW = (
+    -1.6038368053963015, 0.06409991400376411, 0.7408912958767259,
+    0.15261919356565307, 0.8637438913233318, 2.913099222503971,
+    -1.4788233606644015, 0.9454729746458599, -1.6661354573179643,
+    0.34374458145267967, -0.5124437092848577, 1.3237589566885721,
+    -0.8602801935850233, 0.5194931990183601, -1.265143717549522,
+    -2.1591390112963427, 0.434733949991724, 1.7332893199459019,
+    0.5201341562355202, -1.0021657937544401, 0.26834554039213576,
+    0.7671747004800961, 1.1912720267866572, -1.1574108072969482,
+    0.6962793952555424, 0.3513836857921296, -0.03241508301125762,
+    0.013181579118739723, -0.6792499696951128, -0.6205320275267293,
+    1.33121421656793, 0.25883851276767456, -0.4814839171196073,
+    -2.491789618298251, -0.8765637740699862, -0.5055091274868608,
+    -1.28312916995062, -1.3303284249793816, 0.8259925843791154,
+    -0.2472150147600114, -1.6997061161296745, -1.3351528661046907,
+    -0.2996388895736321, 1.114806898511729, -1.5064088465741625,
+    1.5901120754816345, -0.4873251766889029, -1.7111021870893204,
+    0.5130902145495575, 1.4370919181887032, -0.22180410920646204,
+    0.6488165016242814, -0.3178911946054081, -0.010978255182129314,
+    1.6654165038518933, 0.8957864342574032, -1.2026011883336214,
+    2.7996271147006393, -1.0211962469348412, 0.8481069967984006,
+    0.4980826050683653, -0.0844416387593181, 0.20249332585816304,
+    -0.16380577789126796,
+)
+
+
 @functools.cache
 def _combination(attempt: int, r: int) -> np.ndarray:
-    """The seeded coefficients of character_table's attempt on r classes,
-    drawn once."""
-    coeff = np.random.default_rng(1234 + attempt).standard_normal(r)
+    """The seeded coefficients of character_table's attempt on r classes:
+    attempt 0's from _FIRST_DRAW, a retry's drawn from numpy.random, once."""
+    if attempt == 0:
+        coeff = np.array(_FIRST_DRAW[:r])
+    else:
+        coeff = np.random.default_rng(1234 + attempt).standard_normal(r)
     coeff.flags.writeable = False
     return coeff
 

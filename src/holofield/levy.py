@@ -10,6 +10,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from numbers import Rational
 
 import numpy as np
 
@@ -96,6 +97,8 @@ def jump_measure_from_class_rates(
 ) -> JumpMeasure:
     """Expand per-class rates (keyed by class index or representative label)
     into singleton weights: a class with rate w gets w/|C| per element.
+    A rate is a number as it is (an int, a float or a Fraction), never a
+    bool or a string.
     A string key is a label first and otherwise an integer class index, as
     JSON object keys are always strings."""
     if classes is None:
@@ -115,6 +118,8 @@ def jump_measure_from_class_rates(
         if classes.checked(c) in given:
             raise ValueError(f"class {c} is given twice")
         given.add(c)
+        if isinstance(rate, bool) or not isinstance(rate, (Rational, float)):
+            raise ValueError(f"rate {rate!r} of class {c} is not a number")
         per_class[c] = Fraction(rate) if not isinstance(rate, float) else rate
     weights = [
         per_class[classes.class_of[x]] / classes.sizes[classes.class_of[x]]

@@ -529,6 +529,28 @@ def test_surface_file_types_are_strict(files, capsys, tmp_path, surface):
     assert err.startswith("error: bad surface file: ")
 
 
+@pytest.mark.parametrize("area", [True, "1", None, [1.0]], ids=json.dumps)
+def test_surface_area_must_be_a_number(files, capsys, tmp_path, area):
+    """area must be a JSON number: a bool or a string is no area."""
+    path = tmp_path / "surface.json"
+    path.write_text(json.dumps({"orientable": True, "genus": 2, "area": area}))
+    err = _quiet_input_error(capsys, [
+        "partition", "--group", files["s3"], "--levy", files["levy_s3"],
+        "--surface", str(path)])
+    assert err.startswith("error: bad surface file: area ")
+
+
+@pytest.mark.parametrize("rate", [True, "1/2", "1", None])
+def test_levy_rates_must_be_numbers(files, capsys, tmp_path, rate):
+    """A rate must be a JSON number: a bool or a string is no rate."""
+    path = tmp_path / "levy.json"
+    path.write_text(json.dumps({"rates": {"021": rate}}))
+    err = _quiet_input_error(capsys, [
+        "partition", "--group", files["s3"], "--surface", files["torus"],
+        "--levy", str(path)])
+    assert err.startswith("error: bad Levy file: ")
+
+
 def test_verify_failure_exit_code(files, capsys, tmp_path):
     """A jump measure missing inversion symmetry is rejected as bad input
     on a non-orientable surface."""
@@ -591,6 +613,48 @@ def test_module_entry_point(files):
     assert json.loads(proc.stdout)["order"] == 6
 
 
+def test_cold_process_leaves_numpy_random_unloaded(files):
+    """A fresh process that builds every builtin's character table and
+    runs group-info, partition and verify holo-mono never loads
+    numpy.random, unless import numpy alone did (numpy 1.x).  A
+    subprocess, as the test run's own imports may load it."""
+    import os
+    import subprocess
+    import sys
+
+    import holofield.cli
+
+    script = """
+import json
+import sys
+
+import numpy
+
+with_numpy = "numpy.random" in sys.modules
+from holofield.cli import run
+from holofield.groups import build_group, builtin_names, character_table
+
+for name in builtin_names():
+    character_table(build_group(name))
+codes = [run(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps([with_numpy, codes, "numpy.random" in sys.modules]))
+"""
+    inputs = ["--group", files["s3"], "--surface", files["torus"],
+              "--levy", files["levy_s3"]]
+    argvs = [["group-info", "--group", files["s3"]], ["partition", *inputs],
+             ["verify", "holo-mono", *inputs]]
+    src = os.path.dirname(os.path.dirname(
+        os.path.abspath(holofield.cli.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(argvs)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    with_numpy, codes, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0, 0, 0]
+    assert with_numpy or not loaded
+
+
 def test_cli_snapshot_records_runs(tmp_path, monkeypatch):
     """tools/cli_snapshot.py records argv, exit code, stdout and stderr of
     each run against a checkout's src."""
@@ -625,8 +689,9 @@ def test_cli_snapshot_records_runs(tmp_path, monkeypatch):
 def test_bench_ab_summary_on_canned_runs(monkeypatch):
     """tools/bench_ab.py summarizes (base, head) pairs per end-to-end
     metric: both medians, the base's interquartile range, the median
-    per-pair ratio and the pairs that favour the head in the metric's
-    better direction."""
+    per-pair ratio, the pairs that favour the head in the metric's
+    better direction, whether that shows a gain and whether the head is
+    within the metric's bound."""
     import importlib.util
     import os
     import sys
@@ -641,18 +706,22 @@ def test_bench_ab_summary_on_canned_runs(monkeypatch):
     assert better == {"jobs_per_s": "higher", "job_s.p50": "lower",
                       "job_s.tail": "lower", "setup_s": "lower",
                       "peak_rss_mb": "lower"}
+    bounds = tool.end_to_end(repo, "bound")
+    assert bounds == {"jobs_per_s": 0.25, "job_s.p50": 0.25,
+                      "job_s.tail": 0.25, "setup_s": 0.25,
+                      "peak_rss_mb": 0.1}
 
-    def run(rate, setup):
+    def run(rate, setup, rss=40.0):
         return {"correct": True, "attempted": 5, "failed": 0, "metrics": {
             "jobs_per_s": {"value": rate, "unit": "1/s"},
             "job_s.p50": {"value": 1 / rate, "unit": "s"},
             "job_s.tail": {"value": 2 / rate, "unit": "s"},
             "setup_s": {"value": setup, "unit": "s"},
-            "peak_rss_mb": {"value": 40.0, "unit": "MB"}}}
+            "peak_rss_mb": {"value": rss, "unit": "MB"}}}
 
     pairs = [(run(100, 0.2), run(120, 0.3)), (run(110, 0.2), run(100, 0.1)),
              (run(90, 0.2), run(135, 0.2)), (run(100, 0.4), run(125, 0.2))]
-    lines = tool.summary(pairs, better)
+    lines = tool.summary(pairs, better, bounds)
     assert [line.split()[0] for line in lines] == list(better)
     rate, p50, _, setup, rss = lines
     # ratios 1.2, 0.909, 1.5, 1.25; base quartiles 92.5 and 107.5
@@ -662,6 +731,21 @@ def test_bench_ab_summary_on_canned_runs(monkeypatch):
     assert "head better in 3/4 pairs (lower is better)" in p50
     assert "median ratio 0.750" in setup and "in 2/4 pairs" in setup
     assert "median ratio 1.000" in rss and "in 0/4 pairs" in rss
+    # 3/4 pairs show no gain; no median is worse than its bound
+    assert all(line.endswith(f"claim shown: no  within bound {bound:g}: yes")
+               for line, bound in zip(lines, bounds.values()))
+    # ten pairs: the head lower in every one and by more than the base's
+    # IQR shows a gain; a setup 50% slower is outside the 0.25 bound; ties
+    # show none
+    ten = [(run(100, 0.2, 40.0 + 0.1 * i), run(100, 0.3, 36.5))
+           for i in range(10)]
+    rate, _, _, setup, rss = tool.summary(ten, better, bounds)
+    assert rate.endswith("in 0/10 pairs (higher is better)  "
+                         "claim shown: no  within bound 0.25: yes")
+    assert setup.endswith("claim shown: no  within bound 0.25: no")
+    assert "base 40.45 (IQR 0.55)  head 36.5" in rss
+    assert rss.endswith("in 10/10 pairs (lower is better)  "
+                        "claim shown: yes  within bound 0.1: yes")
     line = tool.run_line(2, "head", pairs[2][1], better)
     assert line.startswith("pair 2 head jobs_per_s=135 job_s.p50=")
     assert line.endswith("peak_rss_mb=40 correct=True failed=0/5")

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 import math
 import random
 from dataclasses import replace
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from holofield.covering import bb_mass
+import holofield.groups as groups
 import holofield.holonomy as holonomy
 from holofield.groups import (
     CharacterTableError,
@@ -16,6 +18,7 @@ from holofield.groups import (
     ClassMeasure,
     GroupError,
     _check_orthogonality,
+    _combination,
     _convolve,
     _permutations,
     build_group,
@@ -151,6 +154,78 @@ def test_character_tables_are_pinned():
         data = ct.table.tobytes() + repr((ct.dims, ct.fs_indicator)).encode()
         digests[name] = hashlib.sha256(data).hexdigest()
     assert digests == CHARACTER_TABLE_DIGESTS
+
+
+def test_first_draw_is_the_seeded_stream():
+    """Attempt 0 reads its coefficients from a constant: they are
+    default_rng(1234).standard_normal(r) bit for bit, read-only."""
+    for r in range(1, 65):
+        coeff = _combination(0, r)
+        drawn = np.random.default_rng(1234).standard_normal(r)
+        assert coeff.dtype == drawn.dtype
+        assert coeff.tobytes() == drawn.tobytes()
+        assert not coeff.flags.writeable
+
+
+@pytest.mark.parametrize("name", [
+    *(name for name in builtin_names() if name != "Z2"), "A5", "S5"])
+def test_retry_draw_keeps_the_table(monkeypatch, name):
+    """An all-ones attempt 0 sums every class matrix: that sum is n on the
+    trivial character and 0 on every other, so with three or more classes
+    the eigenvalues collide.  Attempt 1, drawn from default_rng(1235),
+    gives the pinned dims and Frobenius-Schur indicators and the same
+    values to 1e-12."""
+    G = (_permutations(5, name, even=name == "A5") if name in ("A5", "S5")
+         else build_group(name))
+    pinned = character_table(G)
+    attempts = []
+
+    def combination(attempt, r):
+        attempts.append(attempt)
+        return np.ones(r) if attempt == 0 else _combination(attempt, r)
+
+    monkeypatch.setattr(groups, "_combination", combination)
+    retried = character_table(G)
+    assert attempts == [0, 1]
+    assert retried.dims == pinned.dims
+    assert retried.fs_indicator == pinned.fs_indicator
+    assert np.max(np.abs(retried.table - pinned.table)) < 1e-12
+
+
+def test_only_a_retry_loads_numpy_random():
+    """In a fresh process a character table built on attempt 0 leaves
+    numpy.random unloaded (numpy 1.x loads it with numpy itself); a retry
+    loads it.  A subprocess, as the test run's own imports may load it."""
+    import os
+    import subprocess
+    import sys
+
+    script = """
+import json
+import sys
+
+import numpy as np
+
+import holofield.groups as groups
+
+loaded = ["numpy.random" in sys.modules]
+groups.character_table(groups.build_group("S3"))
+loaded.append("numpy.random" in sys.modules)
+drawn = groups._combination
+groups._combination = lambda attempt, r: (
+    np.ones(r) if attempt == 0 else drawn(attempt, r))
+groups.character_table(groups.build_group("S3"))
+loaded.append("numpy.random" in sys.modules)
+print(json.dumps(loaded))
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(groups.__file__)))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src),
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    with_numpy, after_first, after_retry = json.loads(proc.stdout)
+    assert after_first == with_numpy
+    assert after_retry
 
 
 @pytest.mark.parametrize("name", ["S3", "Q8", "S4"])

@@ -39,6 +39,24 @@ def test_jump_measure_rejects_non_finite_rates(rate):
         jump_measure_from_class_rates(G, {1: rate})
 
 
+@pytest.mark.parametrize("rate", [True, False, "1/2", "1"])
+def test_jump_measure_rejects_rates_that_are_not_numbers(rate):
+    G = build_group("S3")
+    with pytest.raises(ValueError, match="not a number"):
+        jump_measure_from_class_rates(G, {1: rate})
+
+
+@pytest.mark.parametrize("rate, weight", [
+    (1, Fraction(1, 3)), (Fraction(1, 2), Fraction(1, 6)), (0.75, 0.25)])
+def test_jump_measure_keeps_int_fraction_and_float_rates(rate, weight):
+    G = build_group("S3")
+    classes = conjugacy_classes(G)
+    weights = jump_measure_from_class_rates(G, {1: rate}).measure.weights
+    assert [weights[x] for x in classes.elements_of(1)] == [weight] * 3
+    assert all(type(weights[x]) is type(weight)
+               for x in classes.elements_of(1))
+
+
 def test_normalized_stays_exact_on_int_weights():
     """Int weights total an int, and the normalized law is still exact."""
     G = build_group("S3")

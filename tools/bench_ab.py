@@ -11,8 +11,13 @@ both sides alike.  The head is this checkout's working tree as it stands.
 Every run's five end-to-end metrics are printed as it finishes.  The
 summary gives, per metric, both sides' medians, the base's interquartile
 range, the median of the per-pair ratios head / base, and how many pairs
-favour the head in the metric's better direction (BENCHMARK.json).  The
-worktree is removed afterwards, also when a run fails.
+favour the head in the metric's better direction (BENCHMARK.json).  It
+ends with two verdicts: whether a claimed gain is shown (the head better
+in at least 9/10 of the pairs and the medians apart by more than the
+base's interquartile range) and whether the head's median is within the
+metric's BENCHMARK.json bound, a fraction of the base's median that it
+may be worse by.  The worktree is removed afterwards, also when a run
+fails.
 """
 
 from __future__ import annotations
@@ -30,12 +35,13 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def end_to_end(root: str) -> dict[str, str]:
+def end_to_end(root: str, key: str = "better") -> dict:
     """The end-to-end metric names of BENCHMARK.json, each with its better
-    direction, in the file's order."""
+    direction (or another field, such as its "bound"), in the file's
+    order."""
     with open(os.path.join(root, "BENCHMARK.json")) as fh:
         spec = json.load(fh)
-    return {m["name"]: m["better"] for m in spec["end_to_end"]}
+    return {m["name"]: m[key] for m in spec["end_to_end"]}
 
 
 def run_bench(tree: str, workload: str, seconds: float) -> dict:
@@ -57,10 +63,12 @@ def run_line(pair: int, side: str, result: dict, names) -> str:
             f"failed={result['failed']}/{result['attempted']}")
 
 
-def summary(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> list[str]:
+def summary(pairs: list[tuple[dict, dict]], better: dict[str, str],
+            bounds: dict[str, float]) -> list[str]:
     """One line per metric over (base, head) result pairs: medians, the
-    base's interquartile range, the median ratio head / base and the pairs
-    where the head is better."""
+    base's interquartile range, the median ratio head / base, the pairs
+    where the head is better, whether that shows a gain and whether the
+    head is within the metric's bound."""
     lines = []
     for name, direction in better.items():
         base = [b["metrics"][name]["value"] for b, _ in pairs]
@@ -69,12 +77,18 @@ def summary(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> list[str]
         wins = sum(h > b if direction == "higher" else h < b
                    for b, h in zip(base, head))
         q = statistics.quantiles(base, n=4) if len(base) > 1 else base * 3
+        mid_base, mid_head = statistics.median(base), statistics.median(head)
+        # the head's median gain in the better direction: negative if worse
+        gain = (mid_head - mid_base) * (1 if direction == "higher" else -1)
+        shown = wins >= 0.9 * len(pairs) and gain > q[2] - q[0]
+        within = -gain <= bounds[name] * mid_base
         lines.append(
-            f"{name:12s} base {statistics.median(base):.6g} "
-            f"(IQR {q[2] - q[0]:.3g})  head {statistics.median(head):.6g}  "
+            f"{name:12s} base {mid_base:.6g} "
+            f"(IQR {q[2] - q[0]:.3g})  head {mid_head:.6g}  "
             f"median ratio {statistics.median(ratios):.3f}  "
             f"head better in {wins}/{len(pairs)} pairs ({direction} is "
-            f"better)")
+            f"better)  claim shown: {'yes' if shown else 'no'}  "
+            f"within bound {bounds[name]:g}: {'yes' if within else 'no'}")
     return lines
 
 
@@ -109,7 +123,7 @@ def main() -> int:
                        capture_output=True)
     print(f"{args.workload}: {len(pairs)} pairs of {args.seconds:g} s runs, "
           f"base {args.base}")
-    for line in summary(pairs, better):
+    for line in summary(pairs, better, end_to_end(ROOT, "bound")):
         print(line)
     return 0
 
