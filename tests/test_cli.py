@@ -517,27 +517,19 @@ def test_cover_sample_that_gives_up_is_a_cap_exit(files, capsys, tmp_path,
      "constraints": [True]},
     {"orientable": True, "genus": 0, "boundaries": 1,
      "constraints": [1.5]},
+    {"orientable": True, "genus": 2, "area": True},
+    {"orientable": True, "genus": 2, "area": "1"},
 ], ids=json.dumps)
 def test_surface_file_types_are_strict(files, capsys, tmp_path, surface):
-    """orientable must be a JSON boolean and genus, boundaries and each
-    constraint JSON integers: none is coerced into another surface."""
+    """orientable must be a JSON boolean, genus, boundaries and each
+    constraint JSON integers and area a JSON number: none is coerced into
+    another surface."""
     path = tmp_path / "surface.json"
-    path.write_text(json.dumps({**surface, "area": 1.0}))
+    path.write_text(json.dumps({"area": 1.0, **surface}))
     err = _quiet_input_error(capsys, [
         "partition", "--group", files["s3"], "--levy", files["levy_s3"],
         "--surface", str(path)])
     assert err.startswith("error: bad surface file: ")
-
-
-@pytest.mark.parametrize("area", [True, "1", None, [1.0]], ids=json.dumps)
-def test_surface_area_must_be_a_number(files, capsys, tmp_path, area):
-    """area must be a JSON number: a bool or a string is no area."""
-    path = tmp_path / "surface.json"
-    path.write_text(json.dumps({"orientable": True, "genus": 2, "area": area}))
-    err = _quiet_input_error(capsys, [
-        "partition", "--group", files["s3"], "--levy", files["levy_s3"],
-        "--surface", str(path)])
-    assert err.startswith("error: bad surface file: area ")
 
 
 @pytest.mark.parametrize("rate", [True, "1/2", "1", None])
