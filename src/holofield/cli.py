@@ -23,7 +23,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import replace
 
 from .groups import (
     build_group,
@@ -84,40 +84,42 @@ class InputError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything that determines a run; identical configs give
-    byte-identical output. Each field is the argparse dest of its option."""
+# The run options every command takes, in the order of the usage text:
+# each flag with its add_argument keywords. The dest argparse makes of a
+# flag ("--tail-tol" -> tail_tol) names it in the "inputs" echo.
+_RUN_OPTIONS = {
+    "--group": {},
+    "--surface": {},
+    "--map": {},
+    "--levy": {},
+    "--time": {"type": float},
+    "--seed": {"type": int, "default": 0},
+    "--tol": {"type": float, "default": DEFAULT_TOL},
+    "--tail-tol": {"type": float, "default": DEFAULT_TAIL_TOL},
+    "--cap": {"type": int, "default": DEFAULT_CAP},
+    "--format": {"choices": ("json", "csv"), "default": "json"},
+    "--via": {"choices": ("formula", "graph"), "default": "formula"},
+}
 
-    group: str | None = None
-    surface: str | None = None
-    map: str | None = None
-    levy: str | None = None
-    time: float | None = None
-    seed: int = 0
-    tol: float = DEFAULT_TOL
-    tail_tol: float = DEFAULT_TAIL_TOL
-    cap: int = DEFAULT_CAP
-    fmt: str = "json"
-    via: str = "formula"
 
-    def __post_init__(self):
-        for name in ("time", "tol", "tail_tol"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise InputError(
-                    f"--{name.replace('_', '-')} must be finite")
-        if self.tol <= 0 or self.tail_tol <= 0:
-            raise InputError("tolerances must be positive")
-        if self.cap < 1:
-            raise InputError("cap must be at least 1")
-        if not (0 <= self.seed < 2 ** 64):
-            raise InputError("seed must fit in 64 bits")
-
-    def inputs(self) -> dict:
-        """Every field but the output format, as reported under "inputs"."""
-        return {f.name: getattr(self, f.name) for f in fields(self)
-                if f.name != "fmt"}
+def _inputs(args) -> dict:
+    """The run options by dest but the format, reported under "inputs"
+    once their numbers pass the run's checks."""
+    echo = {}
+    for flag, kwargs in _RUN_OPTIONS.items():
+        dest = flag[2:].replace("-", "_")
+        value = echo[dest] = getattr(args, dest)
+        if kwargs.get("type") is float and value is not None \
+                and not math.isfinite(value):
+            raise InputError(f"{flag} must be finite")
+    if args.tol <= 0 or args.tail_tol <= 0:
+        raise InputError("tolerances must be positive")
+    if args.cap < 1:
+        raise InputError("cap must be at least 1")
+    if not (0 <= args.seed < 2 ** 64):
+        raise InputError("seed must fit in 64 bits")
+    del echo["format"]
+    return echo
 
 
 def _read_json(path: str):
@@ -130,30 +132,30 @@ def _read_json(path: str):
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def load_group(cfg: RunConfig):
-    if cfg.group is None:
+def load_group(args):
+    if args.group is None:
         raise InputError("a group file is required (--group)")
     try:
-        return build_group(_read_json(cfg.group))
+        return build_group(_read_json(args.group))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad group file: {exc}") from exc
 
 
-def load_levy(cfg: RunConfig, G):
-    if cfg.levy is None:
+def load_levy(args, G):
+    if args.levy is None:
         raise InputError("a Levy measure file is required (--levy)")
     try:
-        rates = _read_json(cfg.levy)["rates"]
+        rates = _read_json(args.levy)["rates"]
         return jump_measure_from_class_rates(G, rates)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad Levy file: {exc}") from exc
 
 
-def load_surface(cfg: RunConfig) -> SurfaceSpec:
-    if cfg.surface is None:
+def load_surface(args) -> SurfaceSpec:
+    if args.surface is None:
         raise InputError("a surface file is required (--surface)")
     try:
-        data = _read_json(cfg.surface)
+        data = _read_json(args.surface)
         orientable, genus = data["orientable"], data["genus"]
         boundaries = data.get("boundaries", 0)
         constraints = tuple(data.get("constraints", ()))
@@ -165,33 +167,36 @@ def load_surface(cfg: RunConfig) -> SurfaceSpec:
         for name, value in named + [("constraint", c) for c in constraints]:
             if type(value) is not int:
                 raise ValueError(f"{name} {value!r} is not an integer")
-        area = data["area"] if cfg.time is None else cfg.time
+        # --time replaces the file's area, which is checked when present
+        area = data["area"] if args.time is None or "area" in data \
+            else args.time
         if isinstance(area, bool) or not isinstance(area, (int, float)):
             raise ValueError(f"area {area!r} is not a number")
-        return SurfaceSpec(orientable, genus, boundaries, float(area),
+        spec = SurfaceSpec(orientable, genus, boundaries, float(area),
                            constraints)
+        return spec if args.time is None else replace(spec, area=args.time)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad surface file: {exc}") from exc
 
 
-def load_map(cfg: RunConfig):
-    if cfg.map is None:
+def load_map(args):
+    if args.map is None:
         raise InputError("a map file is required (--map)")
     try:
-        with open(cfg.map) as fh:
+        with open(args.map) as fh:
             return map_from_json(fh.read())
     except OSError as exc:
-        raise InputError(f"cannot read {cfg.map}: {exc}") from exc
+        raise InputError(f"cannot read {args.map}: {exc}") from exc
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad map file: {exc}") from exc
 
 
-def load_surface_map(cfg: RunConfig, spec: SurfaceSpec):
+def load_surface_map(args, spec: SurfaceSpec):
     """The --map file, which must have the surface's type and total area
     (its areas are never rescaled), or else the surface's standard map."""
-    if cfg.map is None:
+    if args.map is None:
         return standard_map(spec)
-    m = load_map(cfg)
+    m = load_map(args)
     got = euler_and_genus(m)[1:]
     want = (spec.orientable, spec.genus, spec.boundaries)
     if got != want:
@@ -205,8 +210,8 @@ def load_surface_map(cfg: RunConfig, spec: SurfaceSpec):
     return m
 
 
-def emit(report: dict, cfg: RunConfig) -> str:
-    if cfg.fmt == "json":
+def emit(report: dict, args) -> str:
+    if args.format == "json":
         return json.dumps(report, sort_keys=True, indent=2) + "\n"
     rows = report.get("cases")
     if rows is None:
@@ -221,8 +226,8 @@ def emit(report: dict, cfg: RunConfig) -> str:
 
 
 # ---------------------------------------------------------------------------
-# commands: each takes (cfg, args) and returns its report; run() adds the
-# inputs and turns "pass" into the exit code
+# commands: each takes the parsed args and returns its report; run() adds
+# the inputs and turns "pass" into the exit code
 
 
 def _within(diff, tol) -> dict:
@@ -240,8 +245,8 @@ def _compare(lhs, rhs, tol, diff=None) -> dict:
     return {"lhs": float(lhs), "rhs": float(rhs), **_within(diff, tol)}
 
 
-def cmd_group_info(cfg: RunConfig, args) -> dict:
-    G = load_group(cfg)
+def cmd_group_info(args) -> dict:
+    G = load_group(args)
     classes = conjugacy_classes(G)
     ct = character_table(G)
     eta = eta_measure(G)
@@ -274,8 +279,8 @@ def cmd_group_info(cfg: RunConfig, args) -> dict:
     }
 
 
-def cmd_faces(cfg: RunConfig, args) -> dict:
-    m = load_map(cfg)
+def cmd_faces(args) -> dict:
+    m = load_map(args)
     fs = faces(m)
     chi, orientable, g, p = euler_and_genus(m)
     return {
@@ -293,41 +298,41 @@ def cmd_faces(cfg: RunConfig, args) -> dict:
     }
 
 
-def cmd_partition(cfg: RunConfig, args) -> dict:
-    G = load_group(cfg)
-    pi = load_levy(cfg, G)
-    spec = load_surface(cfg)
+def cmd_partition(args) -> dict:
+    G = load_group(args)
+    pi = load_levy(args, G)
+    spec = load_surface(args)
     hk = HeatKernel(pi, character_table(G))
     z_formula = partition_formula(G, spec, hk)
-    m = load_surface_map(cfg, spec)
+    m = load_surface_map(args, spec)
     C = GConstraints(spec.constraints)
-    z_graph = partition_graph(G, m, C, hk, cap=cfg.cap)
-    lhs, rhs = (z_graph, z_formula) if cfg.via == "graph" \
+    z_graph = partition_graph(G, m, C, hk, cap=args.cap)
+    lhs, rhs = (z_graph, z_formula) if args.via == "graph" \
         else (z_formula, z_graph)
-    return {"command": "partition", **_compare(lhs, rhs, cfg.tol),
-            "value": lhs, "route": cfg.via}
+    return {"command": "partition", **_compare(lhs, rhs, args.tol),
+            "value": lhs, "route": args.via}
 
 
-# Each suite takes (cfg, hk, t) and returns its cases; the group, the jump
+# Each suite takes (args, hk, t) and returns its cases; the group, the jump
 # measure and the character table are read off hk.
 
 
-def _suite_semigroup(cfg, hk, t):
+def _suite_semigroup(args, hk, t):
     cases = []
     for s in (0.3 * t, 0.7 * t):
         qs, qt, qst = hk.density(s), hk.density(t), hk.density(s + t)
         conv = density_convolve(qs, qt)
         diff = max(abs(a - b) for a, b in zip(conv.values, qst.values))
         cases.append({"case": f"Q_{s:g} * Q_{t:g} = Q_{s+t:g}",
-                      **_within(diff, cfg.tol)})
-    ser = heat_kernel_series(hk.pi, t, cfg.tail_tol)
+                      **_within(diff, args.tol)})
+    ser = heat_kernel_series(hk.pi, t, args.tail_tol)
     diff = max(abs(a - b) for a, b in zip(ser.values, hk.density(t).values))
     cases.append({"case": "series = characters",
-                  **_within(diff, cfg.tol)})
+                  **_within(diff, args.tol)})
     return cases
 
 
-def _suite_kappa_eta(cfg, hk, t):
+def _suite_kappa_eta(args, hk, t):
     G, ct = hk.group, hk.table
     eta = eta_measure(G)
     kappa = kappa_measure(G)
@@ -340,13 +345,13 @@ def _suite_kappa_eta(cfg, hk, t):
         ec = fourier_coefficient(eta, a, ct)
         kc = fourier_coefficient(kappa, a, ct)
         cases.append({"case": f"eta-hat({a}) = 1/d",
-                      **_compare(ec.real, 1.0 / ct.dims[a], cfg.tol)})
+                      **_compare(ec.real, 1.0 / ct.dims[a], args.tol)})
         cases.append({"case": f"kappa-hat({a}) = FS({a})",
-                      **_compare(kc.real, ct.fs_indicator[a], cfg.tol)})
+                      **_compare(kc.real, ct.fs_indicator[a], args.tol)})
     return cases
 
 
-def _suite_surgery(cfg, hk, t):
+def _suite_surgery(args, hk, t):
     G = hk.group
 
     def z(orientable, p, g, area):
@@ -356,18 +361,18 @@ def _suite_surgery(cfg, hk, t):
     return [
         {"case": "upsilon(Z+_{1,0}) = Z-_{0,1}",
          **_compare(upsilon(z(True, 1, 0, t))(), z(False, 0, 1, t)(),
-                    cfg.tol)},
+                    args.tol)},
         {"case": "beta1(Z+_{2,0}) = Z+_{0,2}",
-         **_compare(beta1(z(True, 2, 0, t))(), z(True, 0, 2, t)(), cfg.tol)},
+         **_compare(beta1(z(True, 2, 0, t))(), z(True, 0, 2, t)(), args.tol)},
         {"case": "beta2(Z+_{1,0} (x) Z+_{1,0}) = Z+_{0,0}",
-         **_compare(beta2(zhalf, zhalf)(), z(True, 0, 0, t)(), cfg.tol)},
+         **_compare(beta2(zhalf, zhalf)(), z(True, 0, 0, t)(), args.tol)},
     ]
 
 
-def _suite_subdivision(cfg, hk, t):
+def _suite_subdivision(args, hk, t):
     G = hk.group
     # the graph side reads the series, so no characters are shared
-    series = SeriesKernel(hk.pi, cfg.tail_tol)
+    series = SeriesKernel(hk.pi, args.tail_tol)
     cases = []
     for name, spec in (("torus", SurfaceSpec(True, 2, 0, t)),
                        ("disk", SurfaceSpec(True, 0, 1, t, (0,)))):
@@ -377,20 +382,20 @@ def _suite_subdivision(cfg, hk, t):
         for vname, mv in (("standard", m),
                           ("subdivided", subdivide_edge(m, 0)[0]),
                           ("split", split_face(m, 0, 0, 1)[0])):
-            zg = partition_graph(G, mv, C, series, cap=cfg.cap)
+            zg = partition_graph(G, mv, C, series, cap=args.cap)
             cases.append({"case": f"{name}/{vname} graph = formula",
-                          **_compare(zg, zf, cfg.tol)})
+                          **_compare(zg, zf, args.tol)})
     return cases
 
 
-def _suite_tame(cfg, hk, t):
+def _suite_tame(args, hk, t):
     m = standard_map(SurfaceSpec(True, 2, 0, t))
     m2, _ = split_face(m, 0, 0, 2, (0.4 * t, 0.6 * t))
     # tame_law on the characters is the closed form of the holonomy law
-    rep = verify_holo_mono(hk.group, m2, hk, tol=cfg.tol, cap=cfg.cap,
+    rep = verify_holo_mono(hk.group, m2, hk, tol=args.tol, cap=args.cap,
                            kernel=hk)
     return [{"case": "joint generator law = closed form",
-             **_within(rep.max_abs_diff, cfg.tol)}]
+             **_within(rep.max_abs_diff, args.tol)}]
 
 
 def _holo_mono(rep) -> dict:
@@ -399,21 +404,21 @@ def _holo_mono(rep) -> dict:
                     rep.max_abs_diff)
 
 
-def _suite_holo_mono(cfg, hk, t):
-    series = SeriesKernel(hk.pi, cfg.tail_tol)
+def _suite_holo_mono(args, hk, t):
+    series = SeriesKernel(hk.pi, args.tail_tol)
     cases = []
     specs = [("torus", SurfaceSpec(True, 2, 0, t))]
     if hk.pi.inversion_invariant:
         specs.append(("klein", SurfaceSpec(False, 2, 0, t)))
     for name, spec in specs:
         rep = verify_holo_mono(hk.group, standard_map(spec), hk,
-                               tol=cfg.tol, cap=cfg.cap, kernel=series)
+                               tol=args.tol, cap=args.cap, kernel=series)
         cases.append({"case": f"{name} holonomy = monodromy",
                       **_holo_mono(rep)})
     return cases
 
 
-def _suite_counting(cfg, hk, t):
+def _suite_counting(args, hk, t):
     G = hk.group
     cases = []
     for name, spec in (("sphere", SurfaceSpec(True, 0, 0, t)),
@@ -421,13 +426,13 @@ def _suite_counting(cfg, hk, t):
         for k in range(3):
             # exact Fractions, so the two counts must agree exactly
             lhs, rhs = counting_check(G, spec, k, lambda _: 1,
-                                      cap=cfg.cap)
+                                      cap=args.cap)
             cases.append({"case": f"{name} k={k} counting",
                           **_compare(lhs, rhs, 0)})
-        mass = bb_mass(G, spec, hk.pi, tail_tol=cfg.tail_tol)
+        mass = bb_mass(G, spec, hk.pi, tail_tol=args.tail_tol)
         cases.append({"case": f"{name} bb_mass = partition",
                       **_compare(mass, partition_formula(G, spec, hk),
-                                 cfg.tol)})
+                                 args.tol)})
     return cases
 
 
@@ -442,16 +447,16 @@ _SUITES = {
 }
 
 
-def cmd_verify(cfg: RunConfig, args) -> dict:
-    G = load_group(cfg)
-    pi = load_levy(cfg, G)
+def cmd_verify(args) -> dict:
+    G = load_group(args)
+    pi = load_levy(args, G)
     if not check_admissible(pi).admissible:
         raise InputError(
             "jump measure is not admissible: its support must generate "
             "the whole group")
     hk = HeatKernel(pi, character_table(G))
-    t = cfg.time if cfg.time is not None else 1.0
-    cases = _SUITES[args.suite](cfg, hk, t)
+    t = args.time if args.time is not None else 1.0
+    cases = _SUITES[args.suite](args, hk, t)
     return {
         "command": f"verify {args.suite}",
         "cases": cases,
@@ -464,13 +469,13 @@ def _labels(G, entries) -> list[str]:
     return [G.labels[x] for x in entries]
 
 
-def cmd_cover_enumerate(cfg: RunConfig, args) -> dict:
-    G = load_group(cfg)
-    spec = load_surface(cfg)
-    pi = load_levy(cfg, G) if cfg.levy else None
+def cmd_cover_enumerate(args) -> dict:
+    G = load_group(args)
+    spec = load_surface(args)
+    pi = load_levy(args, G) if args.levy else None
     pi1 = pi.normalized() if pi is not None else None
     rows = []
-    for tp, aut in _enumerate_aut(G, spec, args.k, cfg.cap):
+    for tp, aut in _enumerate_aut(G, spec, args.k, args.cap):
         row = {"a": _labels(G, tp.a), "c": _labels(G, tp.c),
                "d": _labels(G, tp.d), "aut_order": aut}
         if pi1 is not None:
@@ -481,40 +486,40 @@ def cmd_cover_enumerate(cfg: RunConfig, args) -> dict:
             "cases": rows, "pass": True}
 
 
-def cmd_cover_mass(cfg: RunConfig, args) -> dict:
-    G = load_group(cfg)
-    spec = load_surface(cfg)
-    pi = load_levy(cfg, G)
-    mass = bb_mass(G, spec, pi, tail_tol=cfg.tail_tol)
+def cmd_cover_mass(args) -> dict:
+    G = load_group(args)
+    spec = load_surface(args)
+    pi = load_levy(args, G)
+    mass = bb_mass(G, spec, pi, tail_tol=args.tail_tol)
     z = partition_formula(G, spec, HeatKernel(pi, character_table(G)))
-    return {"command": "cover mass", **_compare(mass, z, cfg.tol)}
+    return {"command": "cover mass", **_compare(mass, z, args.tol)}
 
 
-def cmd_cover_sample(cfg: RunConfig, args) -> dict:
+def cmd_cover_sample(args) -> dict:
     if args.count < 1:
         raise InputError("--count must be at least 1")
-    G = load_group(cfg)
-    spec = load_surface(cfg)
-    pi = load_levy(cfg, G)
+    G = load_group(args)
+    spec = load_surface(args)
+    pi = load_levy(args, G)
     rows = []
     for i in range(args.count):
-        rc, tp = sample_covering(G, spec, pi, cfg.seed + i,
-                                 tail_tol=cfg.tail_tol)
+        rc, tp = sample_covering(G, spec, pi, args.seed + i,
+                                 tail_tol=args.tail_tol)
         rows.append({"k": rc.total, "a": _labels(G, tp.a),
                      "c": _labels(G, tp.c), "d": _labels(G, tp.d)})
     return {"command": "cover sample", "count": args.count, "cases": rows,
             "pass": True}
 
 
-def cmd_cover_verify(cfg: RunConfig, args) -> dict:
-    G = load_group(cfg)
-    spec = load_surface(cfg)
-    pi = load_levy(cfg, G)
-    m = load_surface_map(cfg, spec)
+def cmd_cover_verify(args) -> dict:
+    G = load_group(args)
+    spec = load_surface(args)
+    pi = load_levy(args, G)
+    m = load_surface_map(args, spec)
     hk = HeatKernel(pi, character_table(G))
     rep = verify_holo_mono(G, m, hk, GConstraints(spec.constraints),
-                           tol=cfg.tol, cap=cfg.cap,
-                           kernel=SeriesKernel(pi, cfg.tail_tol))
+                           tol=args.tol, cap=args.cap,
+                           kernel=SeriesKernel(pi, args.tail_tol))
     return {"command": "cover verify-holo-mono", **_holo_mono(rep)}
 
 
@@ -522,29 +527,12 @@ def cmd_cover_verify(cfg: RunConfig, args) -> dict:
 # argument parsing
 
 
-def _add_common(p: argparse.ArgumentParser):
-    """The RunConfig options; each dest is the name of its field."""
-    p.add_argument("--group")
-    p.add_argument("--surface")
-    p.add_argument("--map")
-    p.add_argument("--levy")
-    p.add_argument("--time", type=float)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p.add_argument("--tail-tol", type=float, default=DEFAULT_TAIL_TOL)
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
-    p.add_argument("--format", dest="fmt", choices=("json", "csv"),
-                   default="json")
-    p.add_argument("--via", choices=("formula", "graph"), default="formula")
-
-
 def _command(subparsers, name, handler, own=None):
     """A subcommand: its own arguments ({flag: add_argument keywords}),
-    then the RunConfig options, dispatching to handler(cfg, args)."""
+    then the run options, dispatching to handler(args)."""
     p = subparsers.add_parser(name)
-    for flag, kwargs in (own or {}).items():
+    for flag, kwargs in {**(own or {}), **_RUN_OPTIONS}.items():
         p.add_argument(flag, **kwargs)
-    _add_common(p)
     p.set_defaults(handler=handler)
 
 
@@ -572,17 +560,16 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = RunConfig(**{f.name: getattr(args, f.name)
-                           for f in fields(RunConfig)})
-        report = args.handler(cfg, args)
+        echo = _inputs(args)
+        report = args.handler(args)
     except CapExceeded as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CAP
     except ValueError as exc:   # InputError, GroupError, MapError among them
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
-    report["inputs"] = cfg.inputs()
-    sys.stdout.write(emit(report, cfg))
+    report["inputs"] = echo
+    sys.stdout.write(emit(report, args))
     return EXIT_OK if report["pass"] else EXIT_FAIL
 
 

@@ -28,7 +28,6 @@ from .groups import (
     ConjugacyClassTable,
     FiniteGroup,
     _conj,
-    _tables,
     conjugacy_classes,
     convolution_power,
 )
@@ -100,11 +99,8 @@ def _check_tuples(G: FiniteGroup, orientable: bool, genus: int,
     """Raise ValueError unless the entries are monodromy tuples: each
     boundary entry lies in its class, each twist is non-trivial and the
     surface relation closes. entries is one tuple of ints, or an integer
-    array whose row i holds entry i over a block of tuples, checked whole
-    (the tables are picked as in holonomy_of_steps)."""
-    class_of = conjugacy_classes(G).class_of
-    if isinstance(entries, np.ndarray):
-        class_of = np.asarray(class_of)
+    array whose row i holds entry i over a block of tuples, checked whole."""
+    class_of = conjugacy_classes(G)._class_array
     p = len(boundary_classes)
     # count_nonzero reduces a bool and a bool array alike
     for x, cls in zip(entries[genus:genus + p], boundary_classes):
@@ -392,7 +388,7 @@ def bb_mass_fixed_k(G: FiniteGroup, spec: SurfaceSpec, pi: JumpMeasure,
     the jump rates are rational, and summed with math.fsum otherwise."""
     classes = conjugacy_classes(G)
     pi1 = pi.normalized()
-    exact = all(isinstance(w, (int, Fraction)) for w in pi1.weights)
+    exact = pi1._exact is not None
     w = np.array(pi1.weights, dtype=object if exact else float)
     weights = []
     for rows in _tuple_rows(G, spec, k, classes, DEFAULT_CAP):
@@ -458,7 +454,7 @@ def sample_covering(G: FiniteGroup, spec: SurfaceSpec, pi: JumpMeasure,
     cum = list(itertools.accumulate(float(w)
                                     for w in pi.normalized().weights))
     n, g, p = G.n, spec.genus, spec.boundaries
-    mul, inv = _tables(G, False)
+    mul, inv = G.mul, G.inv
     steps = {}  # the relation with k twists, by k
     rng = random.Random(seed)
     rand, randrange, choice = rng.random, rng.randrange, rng.choice
@@ -474,7 +470,7 @@ def sample_covering(G: FiniteGroup, spec: SurfaceSpec, pi: JumpMeasure,
             steps[k] = _relation_steps(spec.orientable, g, p + k)
         h = 0
         for e, rev in steps[k]:
-            h = mul[h * n + (inv[x[e]] if rev else x[e])]
+            h = mul[h][inv[x[e]] if rev else x[e]]
         if h == 0:
             return RamificationCounts((k,)), MonodromyTuple(
                 G, spec.orientable, g, spec.constraints, tuple(x[:g]),

@@ -425,7 +425,7 @@ def character_table(
     if r > 64:
         raise CharacterTableError("class count above supported bound (64)")
     n = G.n
-    mul = _tables(G, True)[0]
+    mul = _tables(G)[0]
     cls = classes._class_array
     sizes = np.array(classes.sizes)
     # structure matrices: N[c, d, e] counts the pairs (x in C_c, y in C_d)
@@ -541,26 +541,20 @@ def _require_same_group(a, b):
         raise ValueError("operands live on different groups")
 
 
-def _tables(G: FiniteGroup, arrays: bool):
+def _tables(G: FiniteGroup):
     """The multiplication table flattened (x*y at x*n + y) and the inverse
-    table, built once per group: as integer arrays, which index a whole
-    block of elements at once, or as tuples, which index one element
-    several times faster.  _from_table sets the arrays from the array it
-    validated."""
-    key = "arrays" if arrays else "tuples"
-    if key not in G._derived:
-        mul, _ = G._cached("arrays", lambda G: (
-            np.array(G.mul, dtype=np.intp).ravel(),
-            np.array(G.inv, dtype=np.intp)))
-        G._derived["tuples"] = tuple(mul.tolist()), G.inv
-    return G._derived[key]
+    table as integer arrays, built once per group; _from_table sets them
+    from the array it validated."""
+    return G._cached("arrays", lambda G: (
+        np.array(G.mul, dtype=np.intp).ravel(),
+        np.array(G.inv, dtype=np.intp)))
 
 
 def _conj(G: FiniteGroup) -> np.ndarray:
     """conj[h, x] = h x h^-1, as an index table built once per group."""
     def build(G):
         n = G.n
-        mul, inv = _tables(G, True)
+        mul, inv = _tables(G)
         h = np.arange(n)[:, None]
         return mul[mul[h * n + np.arange(n)] * n + inv[h]]
     return G._cached("conj", build)
@@ -568,7 +562,10 @@ def _conj(G: FiniteGroup) -> np.ndarray:
 
 def _ldiv(G: FiniteGroup) -> np.ndarray:
     """ldiv[y, x] = y^-1 x, as an index table built once per group."""
-    return G._cached("ldiv", lambda G: np.array(G.mul)[list(G.inv)])
+    def build(G):
+        mul, inv = _tables(G)
+        return mul.reshape(G.n, G.n)[inv]
+    return G._cached("ldiv", build)
 
 
 def _columns(v: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -710,7 +707,7 @@ def _letter_law(G: FiniteGroup, orientable: bool):
     elements."""
     def build(G):
         n = G.n
-        mul, inv = _tables(G, True)
+        mul, inv = _tables(G)
         if orientable:
             a, b = np.divmod(np.arange(n * n), n)
             # a b a^-1 b^-1 for every pair, multiplied left to right

@@ -210,19 +210,13 @@ def measure_m(G: FiniteGroup, spec: SurfaceSpec) -> ClassMeasure:
 
 def _surface_law(G: FiniteGroup, spec: SurfaceSpec,
                  classes: ConjugacyClassTable | None = None):
-    """measure_m as a (numerators, denominator) pair."""
+    """measure_m as a (numerators, denominator) pair: the word law times
+    each boundary class's uniform law in turn, on the left, as a central
+    law may stand, where its sparsity saves rows."""
     if classes is None:
         classes = conjugacy_classes(G)
-    return _with_boundaries(G, _word_law(G, spec.orientable, spec.genus),
-                            spec.constraints, classes)
-
-
-def _with_boundaries(G: FiniteGroup, mu, constraints,
-                     classes: ConjugacyClassTable):
-    """The (numerators, denominator) pair mu convolved with the uniform law
-    on each boundary class in turn. A class law is central, so it stands on
-    the left, where its sparsity saves rows."""
-    for c in constraints:
+    mu = _word_law(G, spec.orientable, spec.genus)
+    for c in spec.constraints:
         mu = _times(G, _class_law(classes, c), mu)
     return mu
 
@@ -232,19 +226,16 @@ def _with_boundaries(G: FiniteGroup, mu, constraints,
 _FLOAT_EXACT = 2 ** 53
 
 
-def _pair(mu, q):
-    """sum_x q[x] mu({x}) for a (numerators, denominator) pair, added in
-    element order. Each v / den is correctly rounded, as float(Fraction)
-    is. A batch, numerators (m, n) over a list of m denominators, gives
-    one value per row: divided in floats while every integer is below
-    _FLOAT_EXACT, else row by row in Python ints. Either way each row is
-    added by the builtin sum, as a single pair is."""
-    num, den = mu
-    if num.ndim == 1:
-        return float(sum(v / den * q[x] for x, v in enumerate(num.tolist())))
-    if max(den) >= _FLOAT_EXACT or int(np.abs(num).max()) >= _FLOAT_EXACT:
-        return [_pair(row, q) for row in zip(num, den)]
-    terms = num.astype(float) / np.array(den, dtype=float)[:, None] * q
+def _pair(num, dens, q):
+    """sum_x q[x] mu({x}) for each (numerators, denominator) pair of a
+    batch, numerators (m, n) over a list of m denominators, added in
+    element order by the builtin sum. Each v / den is correctly rounded,
+    as float(Fraction) is: divided in floats while every integer is below
+    _FLOAT_EXACT, else in Python ints."""
+    if max(dens) >= _FLOAT_EXACT or int(np.abs(num).max()) >= _FLOAT_EXACT:
+        return [float(sum(v / den * q[x] for x, v in enumerate(row)))
+                for row, den in zip(num.tolist(), dens)]
+    terms = num.astype(float) / np.array(dens, dtype=float)[:, None] * q
     return [float(sum(row)) for row in terms.tolist()]
 
 
@@ -252,8 +243,8 @@ def partition_formula(G: FiniteGroup, spec: SurfaceSpec, hk: HeatKernel,
                       classes: ConjugacyClassTable | None = None) -> float:
     """Z = sum_x Q_t(x) m({x})."""
     _require_inversion_invariant(spec.orientable, hk.pi)
-    return _pair(_surface_law(G, spec, classes),
-                 hk.density(spec.area).values)
+    num, den = _surface_law(G, spec, classes)
+    return _pair(num[None], [den], hk.density(spec.area).values)[0]
 
 
 @dataclass
@@ -297,8 +288,6 @@ def z_function(G: FiniteGroup, orientable: bool, p: int, g: int, t: float,
     _require_inversion_invariant(orientable, hk.pi)
     q = hk.density(t).values
     num, den = _word_law(G, orientable, g)
-    if p == 0:
-        return SymmetricClassFunction(G, classes, 0, {(): _pair((num, den), q)})
     r = classes.r
     indicators = (np.arange(r)[:, None] == classes._class_array).astype(np.int64)
     tuples, nums, dens = [()], num[None], [den]
@@ -311,7 +300,7 @@ def z_function(G: FiniteGroup, orientable: bool, p: int, g: int, t: float,
         dens = [dens[j] * classes.sizes[c] for j, c in grown]
         tuples = [tuples[j] + (c,) for j, c in grown]
     return SymmetricClassFunction(G, classes, p,
-                                  dict(zip(tuples, _pair((nums, dens), q))))
+                                  dict(zip(tuples, _pair(nums, dens, q))))
 
 
 def upsilon(Z: SymmetricClassFunction) -> SymmetricClassFunction:

@@ -85,7 +85,7 @@ class JumpMeasure:
         m = self.total_rate
         if m == 0:
             raise ValueError("zero jump measure cannot be normalized")
-        if all(isinstance(w, (int, Fraction)) for w in self.measure.weights):
+        if self.measure._exact is not None:
             return ClassMeasure(
                 self.group, tuple(Fraction(w) / m for w in self.measure.weights)
             )

@@ -100,16 +100,16 @@ def holonomy_of_steps(G: FiniteGroup, steps, config) -> int | np.ndarray:
     traversal order, inverted on reversed darts. config maps each edge id
     (or letter index) to a group element; or it is an integer array whose
     row e holds edge e's values over a block of configurations, and the
-    block's holonomies come back as one array, one per column (the
-    identity for the empty word)."""
+    block's holonomies come back as one array, one per column, and a
+    single configuration's as an int (the identity for the empty word)."""
     n = G.n
+    mul, inv = _tables(G)
     block = isinstance(config, np.ndarray)
-    mul, inv = _tables(G, block)
     h = np.zeros(config.shape[1:], dtype=np.intp) if block else 0
     for e, rev in steps:
         x = config[e]
         h = mul[h * n + (inv[x] if rev else x)]
-    return h
+    return h if block else int(h)
 
 
 # Rows per block of an enumerated product: every configuration or tuple sum
@@ -171,7 +171,7 @@ def dual_spanning_tree(m: RibbonMap) -> frozenset[int]:
     comp = list(range(len(fs.cycles)))
     tree = set()
     for e in m.edges():
-        if e in bdarts or m.alpha[e] in bdarts:
+        if e in bdarts:
             continue
         a, b = _find(comp, fs.home[e, 1]), _find(comp, fs.home[e, -1])
         if a != b:
@@ -269,7 +269,7 @@ def tame_generators(m: RibbonMap) -> TameGenerators:
     )
     allowed = [e for e in m.edges()
                if e not in dual and e not in b_edges and e not in seeds
-               and not (e in bdarts or m.alpha[e] in bdarts)]
+               and e not in bdarts]
     tree = _grow_tree(m, seeds, allowed)
 
     r_edges = sorted(e for e in m.edges()

@@ -8,6 +8,7 @@ and face splitting).
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -567,29 +568,41 @@ def map_from_json(text: str) -> RibbonMap:
     except json.JSONDecodeError as exc:
         raise MapError(f"invalid map JSON: {exc}") from exc
     try:
-        n = int(data["darts"])
+        n, raw = data["darts"], data["alpha"]
+        pairs = bool(raw) and isinstance(raw[0], list)
+        cycles = list(data["sigma"].values())
+        signs = data.get("lambda", {})
+        boundary = tuple(tuple(c) for c in data.get("boundary", []))
+        # the dart count, darts and signs are JSON integers as they are: no
+        # truncated floats, no strings, no bools standing in for 0 and 1
+        for x in [n, *(itertools.chain(*raw) if pairs else raw),
+                  *itertools.chain(*cycles), *signs.values(),
+                  *itertools.chain(*boundary)]:
+            if type(x) is not int:
+                raise MapError(f"map entry {x!r} is not an integer")
         alpha = [-1] * n
-        raw = data["alpha"]
-        if raw and isinstance(raw[0], list):
+        if pairs:
             for a, b in raw:
                 alpha[a], alpha[b] = b, a
         else:
-            alpha = [int(x) for x in raw]
+            alpha = list(raw)
         sigma = [-1] * n
-        for cyc in data["sigma"].values():
+        for cyc in cycles:
             for i, d in enumerate(cyc):
                 sigma[d] = cyc[(i + 1) % len(cyc)]
         lam = [1] * n
-        for e, s in data.get("lambda", {}).items():
+        for e, s in signs.items():
             d = int(e)
-            lam[d] = int(s)
-            lam[alpha[d]] = int(s)
-        boundary = tuple(tuple(c) for c in data.get("boundary", []))
-    except (KeyError, TypeError, IndexError) as exc:
+            lam[d] = lam[alpha[d]] = s
+    except (AttributeError, KeyError, TypeError, IndexError) as exc:
         raise MapError(f"malformed map data: {exc}") from exc
     m = RibbonMap(tuple(alpha), tuple(sigma), tuple(lam), boundary)
     areas = data.get("areas") or {}
     if areas:
-        fs = faces(m)
-        m = m.with_areas([float(areas[str(i)]) for i in range(len(fs.cycles))])
+        values = [areas[str(i)] for i in range(len(faces(m).cycles))]
+        # each a JSON number: no strings, no bools standing in for 0 and 1
+        for a in values:
+            if isinstance(a, bool) or not isinstance(a, (int, float)):
+                raise MapError(f"area {a!r} is not a number")
+        m = m.with_areas(values)
     return m

@@ -532,6 +532,51 @@ def test_surface_file_types_are_strict(files, capsys, tmp_path, surface):
     assert err.startswith("error: bad surface file: ")
 
 
+@pytest.mark.parametrize("area", ["x", True, "1", None, -1.0, 0,
+                                  float("inf"), float("nan")],
+                         ids=json.dumps)
+def test_surface_file_area_is_checked_under_time(files, capsys, tmp_path,
+                                                 area):
+    """--time replaces the file's area, yet a present area is still a
+    JSON number, finite and positive; a missing one is allowed."""
+    path = tmp_path / "surface.json"
+    path.write_text(json.dumps({"orientable": True, "genus": 2,
+                                "area": area}))
+    command = ["partition", "--group", files["s3"], "--levy",
+               files["levy_s3"], "--surface", str(path)]
+    err = _quiet_input_error(capsys, command)
+    assert err.startswith("error: bad surface file: ")
+    assert _quiet_input_error(capsys, command + ["--time", "1.0"]) == err
+    path.write_text(json.dumps({"orientable": True, "genus": 2}))
+    code, doc = run_json(capsys, command + ["--time", "1.0"])
+    assert code == 0 and doc["pass"] is True
+
+
+@pytest.mark.parametrize("command", [["faces"], [
+    "partition", "--group", "s3", "--levy", "levy_s3", "--surface", "disk"]],
+    ids=lambda argv: argv[0])
+@pytest.mark.parametrize("entry", [
+    {"darts": 4.9}, {"darts": "4"}, {"lambda": {"0": 1.7, "2": 1}},
+    {"boundary": [[True]]}, {"areas": {"0": "1.0"}}, {"areas": {"0": True}},
+], ids=json.dumps)
+def test_map_file_numbers_are_strict(files, capsys, tmp_path, command,
+                                     entry):
+    """Map files read through --map take JSON integers for darts, signs
+    and the dart count and JSON numbers for areas: anything else is a bad
+    map file."""
+    from holofield.surface import SurfaceSpec, map_to_json, standard_map
+
+    data = json.loads(map_to_json(standard_map(SurfaceSpec(True, 0, 1, 1.0,
+                                                           (1,)))))
+    path = tmp_path / "disk_map.json"
+    argv = [files.get(a, a) for a in command] + ["--map", str(path)]
+    path.write_text(json.dumps(data))
+    assert run_json(capsys, argv)[0] == 0
+    path.write_text(json.dumps({**data, **entry}))
+    err = _quiet_input_error(capsys, argv)
+    assert err.startswith("error: bad map file: ")
+
+
 @pytest.mark.parametrize("rate", [True, "1/2", "1", None])
 def test_levy_rates_must_be_numbers(files, capsys, tmp_path, rate):
     """A rate must be a JSON number: a bool or a string is no rate."""

@@ -4,6 +4,7 @@ import hashlib
 import random
 from dataclasses import fields
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +13,7 @@ from holofield.groups import build_group
 from holofield.loops import (
     EdgeWord,
     concat,
+    holonomy_of_steps,
     inverse,
     reduce_word,
     refine_generators,
@@ -299,6 +301,35 @@ def test_holonomy_multiplicative_and_inverse():
     h2 = holonomy_of_word(G, m, config, w2)
     assert holonomy_of_word(G, m, config, concat(m, w1, w2)) == G.mul[h1][h2]
     assert holonomy_of_word(G, m, config, inverse(m, w1)) == G.inv[h1]
+
+
+@pytest.mark.parametrize("name", ["Z3", "S3", "Q8", "S4"])
+def test_holonomy_of_steps_agrees_on_dicts_tuples_and_blocks(name):
+    """A word's holonomy on one configuration, given as a dict or as a
+    tuple, is a Python int, the identity for the empty word, and equals
+    that configuration's column of a block; the fold of the table agrees
+    with all three."""
+    G = build_group(name)
+    rng = random.Random(name)
+    letters, columns = 5, 40
+    block = np.array([[rng.randrange(G.n) for _ in range(columns)]
+                      for _ in range(letters)])
+    for length in (0, 1, 2, 7, 19):
+        steps = [(rng.randrange(letters), rng.random() < 0.5)
+                 for _ in range(length)]
+        out = holonomy_of_steps(G, steps, block)
+        assert out.shape == (columns,)
+        for j, values in enumerate(block.T.tolist()):
+            expected = 0
+            for e, rev in steps:
+                x = values[e]
+                expected = G.mul[expected][G.inv[x] if rev else x]
+            as_tuple = holonomy_of_steps(G, steps, tuple(values))
+            as_dict = holonomy_of_steps(G, steps, dict(enumerate(values)))
+            assert type(as_tuple) is int and type(as_dict) is int
+            assert as_tuple == as_dict == out[j] == expected
+            if not steps:
+                assert as_tuple == 0
 
 
 def test_holonomy_invariant_under_reduction():

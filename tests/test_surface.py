@@ -198,6 +198,41 @@ def test_json_roundtrip():
     assert data["darts"] == m.n_darts
 
 
+# the disk's map file, {"alpha": [[0, 1], [2, 3]], "areas": {"0": 1.0},
+# "boundary": [[2]], "darts": 4, "lambda": {"0": 1, "2": 1}, "sigma":
+# {"0": [0], "1": [1, 3, 2]}}, with one entry replaced
+BAD_MAP_ENTRIES = [
+    {"darts": 4.9},
+    {"darts": "4"},
+    {"darts": True},
+    {"alpha": [[0, 1.0], [2, 3]]},
+    {"alpha": [[0, 1], [2, True]]},
+    {"alpha": [1, 0, 3, "2"]},
+    {"alpha": "1032"},
+    {"sigma": {"0": [0.0], "1": [1, 3, 2]}},
+    {"sigma": {"0": [0], "1": [1, "3", 2]}},
+    {"sigma": [[0], [1, 3, 2]]},
+    {"lambda": {"0": 1.7, "2": 1}},
+    {"lambda": {"0": True, "2": 1}},
+    {"boundary": [[2.0]]},
+    {"boundary": [[False]]},
+    {"areas": {"0": "1.0"}},
+    {"areas": {"0": True}},
+]
+
+
+@pytest.mark.parametrize("entry", BAD_MAP_ENTRIES, ids=json.dumps)
+def test_map_file_numbers_are_strict(entry):
+    """Darts, signs and the dart count are JSON integers and areas JSON
+    numbers: none is coerced into another map."""
+    data = json.loads(map_to_json(standard_map(SurfaceSpec(True, 0, 1, 1.0,
+                                                           (0,)))))
+    # the file as written loads
+    assert map_from_json(json.dumps(data)).boundary == ((2,),)
+    with pytest.raises(MapError):
+        map_from_json(json.dumps({**data, **entry}))
+
+
 def test_default_areas_proportional_to_perimeter():
     m = theta_map()
     m2 = default_areas(m, 3.0)
