@@ -29,7 +29,6 @@ from .groups import (
     FiniteGroup,
     _conj,
     conjugacy_classes,
-    convolution_power,
 )
 from .levy import (
     DEFAULT_TAIL_TOL,
@@ -52,7 +51,6 @@ from .holonomy import (
     _face_words,
     _require_inversion_invariant,
     marginal_generators,
-    measure_m,
     partition_formula,
 )
 
@@ -235,7 +233,7 @@ def _orbits(spec: SurfaceSpec, classes: ConjugacyClassTable):
 def _tuple_rows(G: FiniteGroup, spec: SurfaceSpec, k: int,
                 classes: ConjugacyClassTable, cap: int):
     """The tuples with exactly k ramification points as (entries, rows)
-    integer blocks in enumerate_H's order, each block checked whole. The
+    integer blocks, each block checked whole. The
     last twist is forced by the surface relation and rows where it
     degenerates to the identity are dropped. The cap is checked here,
     before the first block."""
@@ -274,14 +272,6 @@ def _tuples_of(shape: _Shape, rows: np.ndarray):
         _set_shape(t, shape)
         _set_entries(t, entries)
         yield t
-
-
-def enumerate_H(G: FiniteGroup, spec: SurfaceSpec, k: int,
-                cap: int = DEFAULT_CAP) -> list[MonodromyTuple]:
-    """All monodromy tuples with exactly k ramification points."""
-    shape = _Shape(G, spec.orientable, spec.genus, spec.constraints)
-    return [t for rows in _tuple_rows(G, spec, k, conjugacy_classes(G), cap)
-            for t in _tuples_of(shape, rows)]
 
 
 def _keyed_rows(G: FiniteGroup, spec: SurfaceSpec, k: int,
@@ -328,7 +318,7 @@ def _keyed_rows(G: FiniteGroup, spec: SurfaceSpec, k: int,
 
 def _enumerate_aut(G: FiniteGroup, spec: SurfaceSpec, k: int,
                    cap: int = DEFAULT_CAP) -> list[tuple[MonodromyTuple, int]]:
-    """enumerate_H's tuples in its order, each with its |Aut|, read from
+    """_tuple_rows's tuples in its order, each with its |Aut|, read from
     the conjugate keys counting_check gathers."""
     shape = _Shape(G, spec.orientable, spec.genus, spec.constraints)
     return [pair for rows, _, aut in
@@ -372,47 +362,6 @@ def counting_check(G: FiniteGroup, spec: SurfaceSpec, k: int, f,
     return lhs, Fraction(sum(vals)) / n
 
 
-def _prefactor(G: FiniteGroup, spec: SurfaceSpec,
-               classes: ConjugacyClassTable) -> Fraction:
-    pre = Fraction(G.n) ** (1 - spec.genus)
-    for c in spec.constraints:
-        pre /= classes.sizes[c]
-    return pre
-
-
-def bb_mass_fixed_k(G: FiniteGroup, spec: SurfaceSpec, pi: JumpMeasure,
-                    k: int):
-    """Mass contributed by bundles with exactly k ramification points:
-    the prefactored sum over tuples of the product of normalized jump
-    probabilities of the twists, at most DEFAULT_CAP of them. Exact when
-    the jump rates are rational, and summed with math.fsum otherwise."""
-    classes = conjugacy_classes(G)
-    pi1 = pi.normalized()
-    exact = pi1._exact is not None
-    w = np.array(pi1.weights, dtype=object if exact else float)
-    weights = []
-    for rows in _tuple_rows(G, spec, k, classes, DEFAULT_CAP):
-        d = rows[spec.genus + spec.boundaries:]
-        weights += np.prod(w[d], axis=0).tolist()
-    total = sum(weights, Fraction(0)) if exact else math.fsum(weights)
-    return _prefactor(G, spec, classes) * total
-
-
-def twist_mass_contraction(G: FiniteGroup, spec: SurfaceSpec,
-                           pi: JumpMeasure, k: int):
-    """Independent route to the k-twist tuple mass: the k-fold convolution
-    power of the normalized jump measure, contracted against the law of
-    (w(a) c_1..c_p)^{-1}. Exact when the jump rates are rational."""
-    classes = conjugacy_classes(G)
-    mu = measure_m(G, spec)
-    pow_k = convolution_power(pi.normalized(), k)
-    scale = G.n ** spec.genus * math.prod(
-        classes.sizes[c] for c in spec.constraints)
-    total = sum(mu.weights[x] * pow_k.weights[G.inv[x]] * scale
-                for x in range(G.n))
-    return _prefactor(G, spec, classes) * total
-
-
 def bb_mass(G: FiniteGroup, spec: SurfaceSpec, pi: JumpMeasure,
             t: float | None = None,
             classes: ConjugacyClassTable | None = None,
@@ -420,10 +369,10 @@ def bb_mass(G: FiniteGroup, spec: SurfaceSpec, pi: JumpMeasure,
     """Total mass of the Poisson-ramified bundle measure at area t
     (default spec.area): partition_formula on the series kernel, which
     reads convolution powers of the jump measure only."""
-    # Term by term this is sum_k P(N = k) twist_mass_contraction(k) on the
-    # surface with every boundary class inverted, since the twists close
-    # (w(a) c_1..c_p)^-1 (as _boundary_classes_for inverts classes on
-    # maps); the prefactor times the contraction's scale is n
+    # Term by term this is sum_k P(N = k) times the k-twist tuple mass by
+    # contraction on the surface with every boundary class inverted, since
+    # the twists close (w(a) c_1..c_p)^-1 (as _boundary_classes_for inverts
+    # classes on maps); the prefactor times the contraction's scale is n
     spec = spec if t is None else replace(spec, area=t)
     return partition_formula(G, spec, SeriesKernel(pi, tail_tol), classes)
 

@@ -26,12 +26,10 @@ __all__ = [
     "ClassDensity",
     "CharacterTable",
     "build_group",
-    "builtin_names",
     "conjugacy_classes",
     "character_table",
     "convolve",
     "density_convolve",
-    "delta_class",
     "eta_measure",
     "kappa_measure",
     "fourier_coefficient",
@@ -337,10 +335,6 @@ _BUILTINS = {
     "D4": _dihedral4,
     "Q8": _quaternion8,
 }
-
-
-def builtin_names() -> list[str]:
-    return sorted(_BUILTINS)
 
 
 def build_group(spec) -> FiniteGroup:
@@ -681,11 +675,6 @@ def density_convolve(f: ClassDensity, g: ClassDensity) -> ClassDensity:
     out = _convolve(G, np.array(f.values, dtype=float),
                     np.array(g.values, dtype=float)) / G.n
     return ClassDensity(G, tuple(out.tolist()))
-
-
-def delta_class(G: FiniteGroup, c: int) -> ClassMeasure:
-    """Uniform probability measure on the conjugacy class with index c."""
-    return _measure(G, _class_law(conjugacy_classes(G), c))
 
 
 def eta_measure(G: FiniteGroup) -> ClassMeasure:

@@ -289,7 +289,9 @@ def z_function(G: FiniteGroup, orientable: bool, p: int, g: int, t: float,
     q = hk.density(t).values
     num, den = _word_law(G, orientable, g)
     r = classes.r
-    indicators = (np.arange(r)[:, None] == classes._class_array).astype(np.int64)
+    if p:
+        indicators = (np.arange(r)[:, None]
+                      == classes._class_array).astype(np.int64)
     tuples, nums, dens = [()], num[None], [den]
     for _ in range(p):
         # each tuple grows by every class from its last one on

@@ -26,13 +26,9 @@ from .surface import MapError, RibbonMap, faces
 __all__ = [
     "EdgeWord",
     "TameGenerators",
-    "concat",
-    "inverse",
-    "reduce_word",
     "spanning_tree",
     "dual_spanning_tree",
     "tame_generators",
-    "refine_generators",
     "holonomy_of_steps",
     "word_steps",
     "word_end",
@@ -55,23 +51,6 @@ def word_end(m: RibbonMap, w: EdgeWord) -> int:
     return m.vertex_of(m.alpha[w.darts[-1]]) if w.darts else w.base
 
 
-def concat(m: RibbonMap, *words: EdgeWord) -> EdgeWord:
-    if not words:
-        raise MapError("nothing to concatenate")
-    out = list(words[0].darts)
-    at = word_end(m, words[0])
-    for w in words[1:]:
-        if w.base != at:
-            raise MapError("concatenation endpoints do not match")
-        out.extend(w.darts)
-        at = word_end(m, w)
-    return EdgeWord(words[0].base, tuple(out))
-
-
-def inverse(m: RibbonMap, w: EdgeWord) -> EdgeWord:
-    return EdgeWord(word_end(m, w), _inv(m, w.darts))
-
-
 def _reduced(m: RibbonMap, darts) -> tuple[int, ...]:
     """Erase adjacent dart/reverse-dart pairs until none remain, in one pass
     over a stack; free reduction is confluent, so the result is unique."""
@@ -82,11 +61,6 @@ def _reduced(m: RibbonMap, darts) -> tuple[int, ...]:
         else:
             stack.append(d)
     return tuple(stack)
-
-
-def reduce_word(m: RibbonMap, w: EdgeWord) -> EdgeWord:
-    """The unique shortest representative of w with the same endpoints."""
-    return EdgeWord(w.base, _reduced(m, w.darts))
 
 
 def word_steps(m: RibbonMap, darts) -> tuple[tuple[int, bool], ...]:
@@ -356,89 +330,3 @@ def tame_generators(m: RibbonMap) -> TameGenerators:
     if out.relation_word(m).darts:
         raise MapError("tame relation did not reduce to the empty word")
     return out
-
-
-def refine_generators(
-    tame: TameGenerators,
-    coarse: RibbonMap,
-    fine: RibbonMap,
-    split_position: int,
-    containment: dict[int, int],
-) -> TameGenerators:
-    """Tame system on a map obtained from coarse by split_face: the facial
-    lasso at split_position factors into the two sub-face lassos; everything
-    else is carried over unchanged (the old darts keep their ids)."""
-    face_old = tame.face_of_l[split_position]
-    news = [j for j, i in containment.items() if i == face_old]
-    if len(news) != 2:
-        raise MapError("containment does not describe a single face split")
-    C = list(tame.cycles[split_position])
-    fs_fine = faces(fine)
-
-    def oriented_fine(j):
-        # orient the sub-face compatibly with the coarse cycle C
-        cyc = list(fs_fine.cycles[j])
-        old_items = set(C)
-        if any((d, e) in old_items for d, e in cyc):
-            return cyc
-        # the twins, read backwards, run the reversed cycle
-        return [fine.twin(*item) for item in reversed(cyc)]
-
-    cyc_a, cyc_b = (oriented_fine(j) for j in news)
-    pos = {it: k for k, it in enumerate(C)}
-    r = len(C)
-
-    def chord_index(cyc):
-        ks = [k for k, it in enumerate(cyc) if it[0] >= coarse.n_darts]
-        if len(ks) != 1:
-            raise MapError("sub-face does not contain exactly one chord dart")
-        return ks[0]
-
-    def try_roles(fa, fb):
-        # fa plays the face cut out first (chord traversed last), fb the
-        # complementary one (chord traversed first); the old darts of both,
-        # read in this order, must run once around C
-        ka, kb = chord_index(fa), chord_index(fb)
-        first = fa[ka + 1:] + fa[:ka + 1]
-        second = fb[kb:] + fb[:kb]
-        try:
-            ps = [pos[it] for it in first[:-1] + second[1:]]
-        except KeyError:
-            return None
-        cut = ps[0]
-        if ps != [(cut + k) % r for k in range(r)]:
-            return None
-        return cut, first, second
-
-    roles = try_roles(cyc_a, cyc_b) or try_roles(cyc_b, cyc_a)
-    if roles is None:
-        raise MapError("sub-faces do not assemble back into the coarse face")
-    cut, first, second = roles
-    base, tree = tame.base, tame.tree
-    # lassos on the fine map reuse the coarse spanning tree (no new vertex);
-    # each sub-face's product, read from the cut, is conjugated into place
-    # by s_i = x^-1 conj, x being the stretch of C before the cut
-    to_base = _tree_paths(fine, tree, base)
-    s_i = _lassos(fine, base, to_base,
-                  [*_inv(fine, [d for d, _ in C[:cut]]),
-                   *tame.conj[split_position].darts])
-    l1, l2 = (_lassos(fine, base, to_base,
-                      [*_inv(fine, s_i.darts), *(d for d, _ in half),
-                       *s_i.darts])
-              for half in (first, second))
-    if _reduced(fine, l1.darts + l2.darts
-                + _inv(fine, tame.l[split_position].darts)):
-        raise MapError("refined facial lassos do not multiply to the old one")
-    home = fs_fine.home
-    at = slice(split_position, split_position + 1)
-    l_list, faces_list = list(tame.l), list(tame.face_of_l)
-    cycles, conjs = list(tame.cycles), list(tame.conj)
-    l_list[at] = [l1, l2]
-    faces_list[at] = [home[first[0]], home[second[0]]]
-    cycles[at] = [tuple(first), tuple(second)]
-    conjs[at] = [s_i, s_i]
-    return TameGenerators(
-        base=base, a=tame.a, c=tame.c,
-        c_meta=tame.c_meta, l=l_list, face_of_l=faces_list, w=tame.w,
-        cycles=cycles, conj=conjs, tree=tree,
-    )

@@ -25,7 +25,6 @@ __all__ = [
     "split_face",
     "map_to_json",
     "map_from_json",
-    "default_areas",
 ]
 
 
@@ -269,7 +268,6 @@ def faces(m: RibbonMap) -> FaceSet:
 
 def _faces(m: RibbonMap) -> FaceSet:
     fr = list(m.framed_darts())
-    frset = set(fr)
     seen = set()
     cycles = []
     for start in sorted(fr, key=_framed_key):
@@ -281,8 +279,6 @@ def _faces(m: RibbonMap) -> FaceSet:
             seen.add(cur)
             cyc.append(cur)
             cur = m.phi(*cur)
-            if cur not in frset:
-                raise MapError("framed permutation escaped the framing set")
         cycles.append(cyc)
     # pair each cycle with its orientation reversal and keep one of the two
     index_of = {}
@@ -424,10 +420,6 @@ def _proportional(total: float, fs: FaceSet) -> list[float]:
     lens = [len(c) for c in fs.cycles]
     s = sum(lens)
     return [total * L / s for L in lens]
-
-
-def default_areas(m: RibbonMap, total: float) -> RibbonMap:
-    return m.with_areas(_proportional(total, faces(m)))
 
 
 def _transfer_areas(old: RibbonMap, new: RibbonMap, containment: dict[int, int],
@@ -580,6 +572,15 @@ def map_from_json(text: str) -> RibbonMap:
                   *itertools.chain(*boundary)]:
             if type(x) is not int:
                 raise MapError(f"map entry {x!r} is not an integer")
+        # each sign keyed by a dart as map_to_json writes it, each boundary
+        # dart in range: a negative index would wrap round to another dart
+        darts = {str(d): d for d in range(n)}
+        for e in signs:
+            if e not in darts:
+                raise MapError(f"lambda key {e!r} names no dart")
+        for d in itertools.chain(*boundary):
+            if not 0 <= d < n:
+                raise MapError(f"boundary dart {d} is outside the map")
         alpha = [-1] * n
         if pairs:
             for a, b in raw:
@@ -592,17 +593,20 @@ def map_from_json(text: str) -> RibbonMap:
                 sigma[d] = cyc[(i + 1) % len(cyc)]
         lam = [1] * n
         for e, s in signs.items():
-            d = int(e)
+            d = darts[e]
             lam[d] = lam[alpha[d]] = s
     except (AttributeError, KeyError, TypeError, IndexError) as exc:
         raise MapError(f"malformed map data: {exc}") from exc
     m = RibbonMap(tuple(alpha), tuple(sigma), tuple(lam), boundary)
-    areas = data.get("areas") or {}
-    if areas:
-        values = [areas[str(i)] for i in range(len(faces(m).cycles))]
-        # each a JSON number: no strings, no bools standing in for 0 and 1
-        for a in values:
-            if isinstance(a, bool) or not isinstance(a, (int, float)):
-                raise MapError(f"area {a!r} is not a number")
-        m = m.with_areas(values)
-    return m
+    areas = data.get("areas", {})
+    if areas == {}:  # a map without areas, as map_to_json writes it
+        return m
+    keys = [str(i) for i in range(len(faces(m).cycles))]
+    if not isinstance(areas, dict) or set(areas) != set(keys):
+        raise MapError(f"areas must be an object keyed by the faces {keys}")
+    values = [areas[k] for k in keys]
+    # each a JSON number: no strings, no bools standing in for 0 and 1
+    for a in values:
+        if isinstance(a, bool) or not isinstance(a, (int, float)):
+            raise MapError(f"area {a!r} is not a number")
+    return m.with_areas(values)

@@ -1,32 +1,75 @@
 """Reference routes that only the tests call.
 
 Each is an independent, brute-force way to a value the package computes
-by its one route, or a check the package itself never needs: the
-positivity support of the series heat kernel, the gauge flip of a map,
-free bases and abelianized words of map loops, word holonomies read
-from an edge dict, and the automorphism order of a single monodromy
-tuple.
+by its one route, or a check or convenience the package itself never
+needs: the builtin group names and the uniform law on one class, the
+positivity support of the series heat kernel, the gauge flip of a map and
+its perimeter-proportional areas, concatenated, inverted and reduced
+words, free bases and abelianized words of map loops, word holonomies
+read from an edge dict, the tame system refined across a face split, the
+enumerated monodromy tuples, the automorphism order of a single
+monodromy tuple, and the k-twist bundle mass by its two routes.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from holofield.covering import MonodromyTuple
-from holofield.groups import FiniteGroup, _conj
+from holofield.covering import (
+    MonodromyTuple,
+    _Shape,
+    _tuple_rows,
+    _tuples_of,
+)
+from holofield.groups import (
+    _BUILTINS,
+    ClassMeasure,
+    ConjugacyClassTable,
+    FiniteGroup,
+    _class_law,
+    _conj,
+    _measure,
+    conjugacy_classes,
+    convolution_power,
+)
+from holofield.holonomy import DEFAULT_CAP, measure_m
 from holofield.levy import JumpMeasure, heat_kernel_series
 from holofield.loops import (
     EdgeWord,
+    TameGenerators,
+    _inv,
     _lassos,
+    _reduced,
     _tree_paths,
     holonomy_of_steps,
     spanning_tree,
+    word_end,
     word_steps,
 )
-from holofield.surface import MapError, RibbonMap
+from holofield.surface import (
+    MapError,
+    RibbonMap,
+    SurfaceSpec,
+    _proportional,
+    faces,
+)
+
+
+# ---------------------------------------------------------------------------
+# groups
+
+
+def builtin_names() -> list[str]:
+    return sorted(_BUILTINS)
+
+
+def delta_class(G: FiniteGroup, c: int) -> ClassMeasure:
+    """Uniform probability measure on the conjugacy class with index c."""
+    return _measure(G, _class_law(conjugacy_classes(G), c))
 
 
 # ---------------------------------------------------------------------------
@@ -84,8 +127,34 @@ def gauge_flip(m: RibbonMap, vertex: int) -> RibbonMap:
     return RibbonMap(m.alpha, tuple(sigma), tuple(lam), m.boundary)
 
 
+def default_areas(m: RibbonMap, total: float) -> RibbonMap:
+    return m.with_areas(_proportional(total, faces(m)))
+
+
 # ---------------------------------------------------------------------------
 # loops
+
+
+def concat(m: RibbonMap, *words: EdgeWord) -> EdgeWord:
+    if not words:
+        raise MapError("nothing to concatenate")
+    out = list(words[0].darts)
+    at = word_end(m, words[0])
+    for w in words[1:]:
+        if w.base != at:
+            raise MapError("concatenation endpoints do not match")
+        out.extend(w.darts)
+        at = word_end(m, w)
+    return EdgeWord(words[0].base, tuple(out))
+
+
+def inverse(m: RibbonMap, w: EdgeWord) -> EdgeWord:
+    return EdgeWord(word_end(m, w), _inv(m, w.darts))
+
+
+def reduce_word(m: RibbonMap, w: EdgeWord) -> EdgeWord:
+    """The unique shortest representative of w with the same endpoints."""
+    return EdgeWord(w.base, _reduced(m, w.darts))
 
 
 def validate_word(m: RibbonMap, w: EdgeWord) -> None:
@@ -144,6 +213,92 @@ def abelian_rank(m: RibbonMap, words: list[EdgeWord]) -> int:
     return rank
 
 
+def refine_generators(
+    tame: TameGenerators,
+    coarse: RibbonMap,
+    fine: RibbonMap,
+    split_position: int,
+    containment: dict[int, int],
+) -> TameGenerators:
+    """Tame system on a map obtained from coarse by split_face: the facial
+    lasso at split_position factors into the two sub-face lassos; everything
+    else is carried over unchanged (the old darts keep their ids)."""
+    face_old = tame.face_of_l[split_position]
+    news = [j for j, i in containment.items() if i == face_old]
+    if len(news) != 2:
+        raise MapError("containment does not describe a single face split")
+    C = list(tame.cycles[split_position])
+    fs_fine = faces(fine)
+
+    def oriented_fine(j):
+        # orient the sub-face compatibly with the coarse cycle C
+        cyc = list(fs_fine.cycles[j])
+        old_items = set(C)
+        if any((d, e) in old_items for d, e in cyc):
+            return cyc
+        # the twins, read backwards, run the reversed cycle
+        return [fine.twin(*item) for item in reversed(cyc)]
+
+    cyc_a, cyc_b = (oriented_fine(j) for j in news)
+    pos = {it: k for k, it in enumerate(C)}
+    r = len(C)
+
+    def chord_index(cyc):
+        ks = [k for k, it in enumerate(cyc) if it[0] >= coarse.n_darts]
+        if len(ks) != 1:
+            raise MapError("sub-face does not contain exactly one chord dart")
+        return ks[0]
+
+    def try_roles(fa, fb):
+        # fa plays the face cut out first (chord traversed last), fb the
+        # complementary one (chord traversed first); the old darts of both,
+        # read in this order, must run once around C
+        ka, kb = chord_index(fa), chord_index(fb)
+        first = fa[ka + 1:] + fa[:ka + 1]
+        second = fb[kb:] + fb[:kb]
+        try:
+            ps = [pos[it] for it in first[:-1] + second[1:]]
+        except KeyError:
+            return None
+        cut = ps[0]
+        if ps != [(cut + k) % r for k in range(r)]:
+            return None
+        return cut, first, second
+
+    roles = try_roles(cyc_a, cyc_b) or try_roles(cyc_b, cyc_a)
+    if roles is None:
+        raise MapError("sub-faces do not assemble back into the coarse face")
+    cut, first, second = roles
+    base, tree = tame.base, tame.tree
+    # lassos on the fine map reuse the coarse spanning tree (no new vertex);
+    # each sub-face's product, read from the cut, is conjugated into place
+    # by s_i = x^-1 conj, x being the stretch of C before the cut
+    to_base = _tree_paths(fine, tree, base)
+    s_i = _lassos(fine, base, to_base,
+                  [*_inv(fine, [d for d, _ in C[:cut]]),
+                   *tame.conj[split_position].darts])
+    l1, l2 = (_lassos(fine, base, to_base,
+                      [*_inv(fine, s_i.darts), *(d for d, _ in half),
+                       *s_i.darts])
+              for half in (first, second))
+    if _reduced(fine, l1.darts + l2.darts
+                + _inv(fine, tame.l[split_position].darts)):
+        raise MapError("refined facial lassos do not multiply to the old one")
+    home = fs_fine.home
+    at = slice(split_position, split_position + 1)
+    l_list, faces_list = list(tame.l), list(tame.face_of_l)
+    cycles, conjs = list(tame.cycles), list(tame.conj)
+    l_list[at] = [l1, l2]
+    faces_list[at] = [home[first[0]], home[second[0]]]
+    cycles[at] = [tuple(first), tuple(second)]
+    conjs[at] = [s_i, s_i]
+    return TameGenerators(
+        base=base, a=tame.a, c=tame.c,
+        c_meta=tame.c_meta, l=l_list, face_of_l=faces_list, w=tame.w,
+        cycles=cycles, conj=conjs, tree=tree,
+    )
+
+
 # ---------------------------------------------------------------------------
 # covering
 
@@ -153,3 +308,52 @@ def aut_order(t: MonodromyTuple) -> int:
     the subgroup generated by all tuple entries."""
     entries = list(t.entries())
     return int(np.sum(np.all(_conj(t.group)[:, entries] == entries, axis=1)))
+
+
+def enumerate_H(G: FiniteGroup, spec: SurfaceSpec, k: int,
+                cap: int = DEFAULT_CAP) -> list[MonodromyTuple]:
+    """All monodromy tuples with exactly k ramification points."""
+    shape = _Shape(G, spec.orientable, spec.genus, spec.constraints)
+    return [t for rows in _tuple_rows(G, spec, k, conjugacy_classes(G), cap)
+            for t in _tuples_of(shape, rows)]
+
+
+def _prefactor(G: FiniteGroup, spec: SurfaceSpec,
+               classes: ConjugacyClassTable) -> Fraction:
+    pre = Fraction(G.n) ** (1 - spec.genus)
+    for c in spec.constraints:
+        pre /= classes.sizes[c]
+    return pre
+
+
+def bb_mass_fixed_k(G: FiniteGroup, spec: SurfaceSpec, pi: JumpMeasure,
+                    k: int):
+    """Mass contributed by bundles with exactly k ramification points:
+    the prefactored sum over tuples of the product of normalized jump
+    probabilities of the twists, at most DEFAULT_CAP of them. Exact when
+    the jump rates are rational, and summed with math.fsum otherwise."""
+    classes = conjugacy_classes(G)
+    pi1 = pi.normalized()
+    exact = pi1._exact is not None
+    w = np.array(pi1.weights, dtype=object if exact else float)
+    weights = []
+    for rows in _tuple_rows(G, spec, k, classes, DEFAULT_CAP):
+        d = rows[spec.genus + spec.boundaries:]
+        weights += np.prod(w[d], axis=0).tolist()
+    total = sum(weights, Fraction(0)) if exact else math.fsum(weights)
+    return _prefactor(G, spec, classes) * total
+
+
+def twist_mass_contraction(G: FiniteGroup, spec: SurfaceSpec,
+                           pi: JumpMeasure, k: int):
+    """Independent route to the k-twist tuple mass: the k-fold convolution
+    power of the normalized jump measure, contracted against the law of
+    (w(a) c_1..c_p)^{-1}. Exact when the jump rates are rational."""
+    classes = conjugacy_classes(G)
+    mu = measure_m(G, spec)
+    pow_k = convolution_power(pi.normalized(), k)
+    scale = G.n ** spec.genus * math.prod(
+        classes.sizes[c] for c in spec.constraints)
+    total = sum(mu.weights[x] * pow_k.weights[G.inv[x]] * scale
+                for x in range(G.n))
+    return _prefactor(G, spec, classes) * total

@@ -10,7 +10,6 @@ import pytest
 from holofield.covering import bb_mass, counting_check
 from holofield.groups import (
     build_group,
-    builtin_names,
     character_table,
     conjugacy_classes,
     convolution_power,
@@ -39,7 +38,6 @@ from holofield.levy import (
 )
 from holofield.loops import (
     EdgeWord,
-    reduce_word,
     tame_generators,
 )
 from holofield.surface import (
@@ -51,7 +49,7 @@ from holofield.surface import (
     standard_map,
     subdivide_edge,
 )
-from oracles import aut_order, free_basis
+from oracles import aut_order, builtin_names, free_basis, reduce_word
 
 
 def make_hk(name):

@@ -558,12 +558,14 @@ def test_surface_file_area_is_checked_under_time(files, capsys, tmp_path,
 @pytest.mark.parametrize("entry", [
     {"darts": 4.9}, {"darts": "4"}, {"lambda": {"0": 1.7, "2": 1}},
     {"boundary": [[True]]}, {"areas": {"0": "1.0"}}, {"areas": {"0": True}},
+    {"lambda": {"-4": -1, "2": 1}}, {"boundary": [[4]]}, {"areas": [1.0]},
+    {"areas": {"1": 1.0}},
 ], ids=json.dumps)
 def test_map_file_numbers_are_strict(files, capsys, tmp_path, command,
                                      entry):
     """Map files read through --map take JSON integers for darts, signs
-    and the dart count and JSON numbers for areas: anything else is a bad
-    map file."""
+    and the dart count and JSON numbers for areas, darts in range and one
+    area per face: anything else is a bad map file."""
     from holofield.surface import SurfaceSpec, map_to_json, standard_map
 
     data = json.loads(map_to_json(standard_map(SurfaceSpec(True, 0, 1, 1.0,
@@ -669,9 +671,9 @@ import numpy
 
 with_numpy = "numpy.random" in sys.modules
 from holofield.cli import run
-from holofield.groups import build_group, builtin_names, character_table
+from holofield.groups import _BUILTINS, build_group, character_table
 
-for name in builtin_names():
+for name in sorted(_BUILTINS):
     character_table(build_group(name))
 codes = [run(argv) for argv in json.loads(sys.argv[1])]
 print(json.dumps([with_numpy, codes, "numpy.random" in sys.modules]))
@@ -786,3 +788,47 @@ def test_bench_ab_summary_on_canned_runs(monkeypatch):
     line = tool.run_line(2, "head", pairs[2][1], better)
     assert line.startswith("pair 2 head jobs_per_s=135 job_s.p50=")
     assert line.endswith("peak_rss_mb=40 correct=True failed=0/5")
+
+
+def test_bench_ab_runs_both_sides_from_copies(tmp_path):
+    """tools/bench_ab.py runs the base from a git archive export and the
+    head from a copy of the working tree beside it: uncommitted edits and
+    untracked files are copied, ignored files are not."""
+    import importlib.util
+    import os
+    import subprocess
+
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location(
+        "bench_ab", os.path.join(repo, "tools", "bench_ab.py"))
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+
+    root = tmp_path / "repo"
+    (root / "pkg").mkdir(parents=True)
+    (root / "pkg" / "tracked.py").write_text("committed\n")
+    (root / ".gitignore").write_text("*.log\n")
+
+    def git(*argv):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t",
+                        *argv], cwd=root, check=True, capture_output=True)
+
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "base")
+    (root / "pkg" / "tracked.py").write_text("edited\n")
+    (root / "pkg" / "untracked.py").write_text("new\n")
+    (root / "pkg" / "run.log").write_text("ignored\n")
+
+    tool.export_commit(str(root), "HEAD", str(tmp_path / "base"))
+    tool.copy_worktree(str(root), str(tmp_path / "head"))
+
+    def files(tree):
+        return {str(p.relative_to(tree)): p.read_text()
+                for p in tree.rglob("*") if p.is_file()}
+
+    assert files(tmp_path / "base") == {".gitignore": "*.log\n",
+                                        "pkg/tracked.py": "committed\n"}
+    assert files(tmp_path / "head") == {".gitignore": "*.log\n",
+                                        "pkg/tracked.py": "edited\n",
+                                        "pkg/untracked.py": "new\n"}

@@ -13,15 +13,12 @@ import pytest
 from holofield.covering import (
     MonodromyTuple,
     bb_mass,
-    bb_mass_fixed_k,
     canonical_word,
     counting_check,
-    enumerate_H,
     evaluate_word,
     monodromy_marginal,
     sample_covering,
     tame_law,
-    twist_mass_contraction,
     verify_holo_mono,
 )
 from holofield.groups import build_group, character_table, conjugacy_classes
@@ -48,7 +45,12 @@ from holofield.surface import (
     standard_map,
     subdivide_edge,
 )
-from oracles import aut_order
+from oracles import (
+    aut_order,
+    bb_mass_fixed_k,
+    enumerate_H,
+    twist_mass_contraction,
+)
 
 
 def sphere(t=1.0, constraints=()):
@@ -385,7 +387,8 @@ def test_holonomy_equals_monodromy(gname, spec):
 
 
 def test_holonomy_equals_monodromy_split_faces():
-    from holofield.loops import refine_generators, tame_generators
+    from holofield.loops import tame_generators
+    from oracles import refine_generators
     from holofield.surface import split_face
 
     G = build_group("S3")

@@ -22,12 +22,10 @@ from holofield.groups import (
     _convolve,
     _permutations,
     build_group,
-    builtin_names,
     character_table,
     conjugacy_classes,
     convolve,
     convolution_power,
-    delta_class,
     density_convolve,
     eta_measure,
     fourier_coefficient,
@@ -40,6 +38,7 @@ from holofield.levy import (
     jump_measure_from_class_rates,
 )
 from holofield.surface import SurfaceSpec
+from oracles import builtin_names, delta_class
 
 
 def test_builtin_orders():

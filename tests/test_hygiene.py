@@ -1,17 +1,24 @@
 """Source hygiene of the package, read with ast alone: every imported name
-is used, every __all__ entry names something the module defines, and every
-private module-level helper is referenced somewhere in the package. The
-tests' oracle module is held to the same import and private-helper checks,
-its helpers referenced within it."""
+is used, every __all__ entry names something the module defines, every
+private module-level helper is referenced somewhere in the package, and
+every public name has a caller outside the tests. The tests' oracle module
+is held to the same import and private-helper checks, its helpers
+referenced within it."""
 
 import ast
 import glob
 import os
+import re
 
 TESTS = os.path.dirname(os.path.abspath(__file__))
-SRC = os.path.join(os.path.dirname(TESTS), "src", "holofield")
+ROOT = os.path.dirname(TESTS)
+SRC = os.path.join(ROOT, "src", "holofield")
 MODULES = sorted(glob.glob(os.path.join(SRC, "*.py")))
 ORACLES = os.path.join(TESTS, "oracles.py")
+# where a public name of the package may be called from
+CALLERS = MODULES + sorted(
+    glob.glob(os.path.join(ROOT, "bench", "*.py"))
+    + glob.glob(os.path.join(ROOT, "tools", "*.py")))
 
 
 def _parse(path):
@@ -111,3 +118,44 @@ def test_every_oracle_private_definition_is_referenced():
     called from within the oracle module."""
     assert _per_module(lambda tree: _private_definitions(tree)
                        - _references(tree), [ORACLES]) == {}
+
+
+def _public_definitions(tree):
+    """The module-level public functions and classes, and the __all__
+    entries."""
+    return set(_exported(tree)) | {
+        node.name for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")}
+
+
+def _readme_names():
+    """Every identifier inside backticks in README.md, fenced code
+    included."""
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        spans = re.findall(r"`+([^`]+)`+", fh.read())
+    return {n for s in spans for n in re.findall(r"[A-Za-z_]\w*", s)}
+
+
+def test_every_public_name_has_a_caller():
+    """A public name that only the tests reach belongs in the oracles: each
+    must be referenced, outside its own definition, in src/, bench/*.py,
+    tools/*.py or a README name in backticks."""
+    trees = {path: _parse(path) for path in CALLERS}
+    where = {}  # name -> the top-level statements referencing it
+    for path, tree in trees.items():
+        for node in tree.body:
+            for name in _references(node):
+                where.setdefault(name, set()).add((path, node.lineno))
+    readme = _readme_names()
+    unused = {}
+    for path in MODULES:
+        tree = trees[path]
+        own = {node.name: {(path, node.lineno)} for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        found = sorted(
+            name for name in _public_definitions(tree) - readme
+            if not where.get(name, set()) - own.get(name, set()))
+        if found:
+            unused[os.path.basename(path)] = found
+    assert unused == {}

@@ -6,7 +6,6 @@ import pytest
 from holofield.groups import (
     ClassMeasure,
     build_group,
-    builtin_names,
     character_table,
     conjugacy_classes,
     density_convolve,
@@ -21,7 +20,7 @@ from holofield.levy import (
     poisson_weights,
     uniform_jump_measure,
 )
-from oracles import positivity_support_check
+from oracles import builtin_names, positivity_support_check
 
 
 def test_jump_measure_rejects_identity_mass():

@@ -12,11 +12,7 @@ from hypothesis import strategies as st
 from holofield.groups import build_group
 from holofield.loops import (
     EdgeWord,
-    concat,
     holonomy_of_steps,
-    inverse,
-    reduce_word,
-    refine_generators,
     spanning_tree,
     tame_generators,
     word_end,
@@ -32,8 +28,12 @@ from holofield.surface import (
 from oracles import (
     abelian_rank,
     abelianization,
+    concat,
     free_basis,
     holonomy_of_word,
+    inverse,
+    reduce_word,
+    refine_generators,
     validate_word,
 )
 

@@ -9,8 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from holofield import loops
-from holofield.covering import enumerate_H, monodromy_marginal, \
-    verify_holo_mono
+from holofield.covering import monodromy_marginal, verify_holo_mono
 from holofield.groups import build_group, character_table, conjugacy_classes
 from holofield.holonomy import (
     GConstraints,
@@ -30,7 +29,7 @@ from holofield.surface import (
     standard_map,
     subdivide_edge,
 )
-from oracles import free_basis, holonomy_of_word
+from oracles import enumerate_H, free_basis, holonomy_of_word
 
 G = build_group("S3")
 PI = uniform_jump_measure(G)

@@ -8,7 +8,6 @@ from holofield.surface import (
     MapError,
     RibbonMap,
     SurfaceSpec,
-    default_areas,
     euler_and_genus,
     faces,
     is_orientable,
@@ -18,7 +17,7 @@ from holofield.surface import (
     standard_map,
     subdivide_edge,
 )
-from oracles import gauge_flip
+from oracles import default_areas, gauge_flip
 
 
 def torus_map():
@@ -218,13 +217,21 @@ BAD_MAP_ENTRIES = [
     {"boundary": [[False]]},
     {"areas": {"0": "1.0"}},
     {"areas": {"0": True}},
+    {"lambda": {"-4": -1, "2": 1}},
+    {"lambda": {"4": 1}},
+    {"boundary": [[-2]]},
+    {"boundary": [[4]]},
+    {"areas": [1.0]},
+    {"areas": {"1": 1.0}},
+    {"areas": {"0": 1.0, "1": 1.0}},
 ]
 
 
 @pytest.mark.parametrize("entry", BAD_MAP_ENTRIES, ids=json.dumps)
 def test_map_file_numbers_are_strict(entry):
     """Darts, signs and the dart count are JSON integers and areas JSON
-    numbers: none is coerced into another map."""
+    numbers: none is coerced into another map. Sign keys and boundary
+    darts name darts of the map, and the areas key each face once."""
     data = json.loads(map_to_json(standard_map(SurfaceSpec(True, 0, 1, 1.0,
                                                            (0,)))))
     # the file as written loads
