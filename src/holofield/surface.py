@@ -109,6 +109,8 @@ class RibbonMap:
             raise MapError("lam must be +/-1 and constant on each edge")
         bset = set()
         for circ in self.boundary:
+            if not circ:
+                raise MapError("boundary circuits must be non-empty")
             for d in circ:
                 if d in bset or self.alpha[d] in bset:
                     raise MapError("boundary circuits must be edge-disjoint")
@@ -332,24 +334,6 @@ def euler_and_genus(m: RibbonMap) -> tuple[int, bool, int, int]:
     return chi, ori, g, p
 
 
-def _complete_rotation(darts_at_vertex: list[int], succ: dict[int, int]) -> dict:
-    """Extend a partial successor relation at one vertex to a single cycle.
-    The partial data must be acyclic chains; chains and isolated darts are
-    linked in ascending order of their starting dart."""
-    pred = {b: a for a, b in succ.items()}
-    heads = sorted(d for d in darts_at_vertex if d not in pred)
-    if not heads:
-        # already a full cycle
-        return succ
-    full = dict(succ)
-    for i, h in enumerate(heads):
-        tail = h
-        while tail in full:
-            tail = full[tail]
-        full[tail] = heads[(i + 1) % len(heads)]
-    return full
-
-
 def standard_map(spec: SurfaceSpec) -> RibbonMap:
     """The one-interior-face polygon model of a surface: a single interior
     vertex carrying the canonical word (commutators if orientable, squares
@@ -381,29 +365,24 @@ def standard_map(spec: SurfaceSpec) -> RibbonMap:
             word += [(a_darts[i][0], 1), (a_darts[i][0], -1)]
     for i in range(p):
         word += [(spoke[i][0], 1), (loop[i][0], 1), (spoke[i][1], 1)]
-    # rotation constraints so that the word is a single facial cycle:
-    # a step (d, eps) -> (d', eps') of phi needs sigma^{-eps'}(alpha(d)) = d'
-    succ: dict[int, int] = {}
+    # each step (d, eps) -> (d', eps') of phi along the word is one link of
+    # the rotation, sigma^{-eps'}(alpha(d)) = d', so the word is one face
+    sigma = [0] * m2
     for k, (d, eps) in enumerate(word):
         d2, eps2 = word[(k + 1) % len(word)]
         if lam[d] * eps != eps2:
             raise MapError("canonical word framing is inconsistent")
         if eps2 == 1:
-            succ[d2] = alpha[d]
+            sigma[d2] = alpha[d]
         else:
-            succ[alpha[d]] = d2
-    interior = [d for pair in a_darts for d in pair] + [s[0] for s in spoke]
-    sigma = dict(_complete_rotation(sorted(interior), {
-        a: b for a, b in succ.items() if a in set(interior)
-    }))
-    for i in range(p):
-        at_u = [spoke[i][1], loop[i][0], loop[i][1]]
-        sigma.update(_complete_rotation(at_u, {
-            a: b for a, b in succ.items() if a in set(at_u)
-        }))
+            sigma[alpha[d]] = d2
+    # at each boundary vertex the word links loop -> spoke' -> loop', and
+    # loop' -> loop closes the rotation
+    for d, e in loop:
+        sigma[e] = d
     m = RibbonMap(
         alpha=tuple(alpha),
-        sigma=tuple(sigma[d] for d in range(m2)),
+        sigma=tuple(sigma),
         lam=tuple(lam),
         boundary=tuple((loop[i][0],) for i in range(p)),
     )
@@ -554,22 +533,32 @@ def map_to_json(m: RibbonMap) -> str:
     return json.dumps(data, sort_keys=True)
 
 
+def _from_cycles(cycles, n: int, message: str) -> list[int]:
+    """The permutation of range(n) with the given cycles: each dart listed
+    exactly once, in a non-empty cycle, or MapError(message)."""
+    if not all(cycles) or sorted(itertools.chain(*cycles)) != list(range(n)):
+        raise MapError(message)
+    perm = [0] * n
+    for cyc in cycles:
+        for i, d in enumerate(cyc):
+            perm[d] = cyc[(i + 1) % len(cyc)]
+    return perm
+
+
 def map_from_json(text: str) -> RibbonMap:
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MapError(f"invalid map JSON: {exc}") from exc
     try:
-        n, raw = data["darts"], data["alpha"]
-        pairs = bool(raw) and isinstance(raw[0], list)
+        n, pairs = data["darts"], data["alpha"]
         cycles = list(data["sigma"].values())
         signs = data.get("lambda", {})
         boundary = tuple(tuple(c) for c in data.get("boundary", []))
         # the dart count, darts and signs are JSON integers as they are: no
         # truncated floats, no strings, no bools standing in for 0 and 1
-        for x in [n, *(itertools.chain(*raw) if pairs else raw),
-                  *itertools.chain(*cycles), *signs.values(),
-                  *itertools.chain(*boundary)]:
+        for x in [n, *itertools.chain(*pairs), *itertools.chain(*cycles),
+                  *signs.values(), *itertools.chain(*boundary)]:
             if type(x) is not int:
                 raise MapError(f"map entry {x!r} is not an integer")
         # each sign keyed by a dart as map_to_json writes it, each boundary
@@ -581,19 +570,18 @@ def map_from_json(text: str) -> RibbonMap:
         for d in itertools.chain(*boundary):
             if not 0 <= d < n:
                 raise MapError(f"boundary dart {d} is outside the map")
-        alpha = [-1] * n
-        if pairs:
-            for a, b in raw:
-                alpha[a], alpha[b] = b, a
-        else:
-            alpha = list(raw)
-        sigma = [-1] * n
-        for cyc in cycles:
-            for i, d in enumerate(cyc):
-                sigma[d] = cyc[(i + 1) % len(cyc)]
+        # alpha's pairs are its 2-cycles
+        alpha = _from_cycles(pairs, n,
+                             "alpha must be a fixed-point-free involution")
+        sigma = _from_cycles(cycles, n,
+                             "sigma must be a permutation of the darts")
         lam = [1] * n
+        signed = set()
         for e, s in signs.items():
             d = darts[e]
+            if d in signed:
+                raise MapError(f"lambda signs the edge of dart {d} twice")
+            signed.update((d, alpha[d]))
             lam[d] = lam[alpha[d]] = s
     except (AttributeError, KeyError, TypeError, IndexError) as exc:
         raise MapError(f"malformed map data: {exc}") from exc

@@ -559,13 +559,18 @@ def test_surface_file_area_is_checked_under_time(files, capsys, tmp_path,
     {"darts": 4.9}, {"darts": "4"}, {"lambda": {"0": 1.7, "2": 1}},
     {"boundary": [[True]]}, {"areas": {"0": "1.0"}}, {"areas": {"0": True}},
     {"lambda": {"-4": -1, "2": 1}}, {"boundary": [[4]]}, {"areas": [1.0]},
-    {"areas": {"1": 1.0}},
+    {"areas": {"1": 1.0}}, {"lambda": {"0": -1, "1": 1}},
+    {"sigma": {"0": [0, 0], "1": [1, 3, 2]}},
+    {"sigma": {"0": [0], "1": [1, 3, 2], "2": []}},
+    {"alpha": [[0, 1], [2, 3], [0, 1]]}, {"boundary": [[]], "areas": {}},
+    {"alpha": [1, 0, 3, 2]},
 ], ids=json.dumps)
 def test_map_file_numbers_are_strict(files, capsys, tmp_path, command,
                                      entry):
     """Map files read through --map take JSON integers for darts, signs
     and the dart count and JSON numbers for areas, darts in range and one
-    area per face: anything else is a bad map file."""
+    area per face, each dart once in alpha and once in sigma, one sign per
+    edge and no empty cycle or circuit: anything else is a bad map file."""
     from holofield.surface import SurfaceSpec, map_to_json, standard_map
 
     data = json.loads(map_to_json(standard_map(SurfaceSpec(True, 0, 1, 1.0,
@@ -832,3 +837,96 @@ def test_bench_ab_runs_both_sides_from_copies(tmp_path):
     assert files(tmp_path / "head") == {".gitignore": "*.log\n",
                                         "pkg/tracked.py": "edited\n",
                                         "pkg/untracked.py": "new\n"}
+
+
+def _bench_record_tool(monkeypatch):
+    import importlib.util
+    import os
+    import sys
+
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    # the tool imports bench_ab from its own directory
+    monkeypatch.setattr(sys, "path", [os.path.join(repo, "tools"), *sys.path])
+    spec = importlib.util.spec_from_file_location(
+        "bench_record", os.path.join(repo, "tools", "bench_record.py"))
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    with open(os.path.join(repo, "BENCHMARK.json")) as fh:
+        return tool, json.load(fh)
+
+
+def test_bench_record_names_every_metric_on_canned_runs(monkeypatch,
+                                                        tmp_path, capsys):
+    """tools/bench_record.py runs every workload untraced and traced at the
+    given seed and writes each run's metrics and verdicts beside the
+    machine and the commit; a metric BENCHMARK.json names that a run does
+    not report is listed and exits 1."""
+    import sys
+
+    tool, spec = _bench_record_tool(monkeypatch)
+    calls = []
+
+    def canned(tree, workload, seconds, trace, seed, drop=()):
+        calls.append((workload, seconds, trace, seed))
+        group = spec["per_layer" if trace else "end_to_end"]
+        return {"correct": True, "attempted": 7, "failed": 0, "metrics": {
+            m["name"]: {"value": 1.0, "unit": m["unit"]}
+            for m in group if m["name"] not in drop}}
+
+    monkeypatch.setattr(tool, "run_bench", canned)
+    monkeypatch.setattr(tool, "commit",
+                        lambda root: {"commit": "abc", "dirty": False})
+    out = tmp_path / "BENCH_1.json"
+    monkeypatch.setattr(sys, "argv", ["bench_record.py", str(out),
+                                      "--seconds", "1", "--seed", "5"])
+    assert tool.main() == 0
+    names = [w["name"] for w in spec["workloads"]]
+    assert calls == [(w, 1.0, trace, 5) for w in names for trace in (0, 1)]
+    doc = json.loads(out.read_text())
+    assert (doc["commit"], doc["dirty"], doc["seconds"], doc["seed"]) == \
+        ("abc", False, 1.0, 5)
+    assert set(doc["machine"]) == {"nproc", "python", "numpy"}
+    assert set(doc["workloads"]) == set(names)
+    for w in names:
+        for run, group in (("untraced", "end_to_end"),
+                           ("traced", "per_layer")):
+            result = doc["workloads"][w][run]
+            assert (result["correct"], result["attempted"],
+                    result["failed"]) == (True, 7, 0)
+            assert {m["name"] for m in spec[group]} <= set(result["metrics"])
+    assert tool.missing(doc, spec) == []
+
+    def short(tree, workload, seconds, trace, seed):
+        drop = ("cli.run_s",) if workload == "cli" and trace else ()
+        return canned(tree, workload, seconds, trace, seed, drop)
+
+    monkeypatch.setattr(tool, "run_bench", short)
+    capsys.readouterr()
+    assert tool.main() == 1
+    assert "missing: cli traced cli.run_s" in capsys.readouterr().out
+    assert "cli.run_s" not in \
+        json.loads(out.read_text())["workloads"]["cli"]["traced"]["metrics"]
+
+
+def test_bench_record_commit_and_dirty_flag(monkeypatch, tmp_path):
+    """The commit measured, dirty when a tracked file is edited or an
+    untracked one added, not when only an ignored file is."""
+    import subprocess
+
+    tool, _ = _bench_record_tool(monkeypatch)
+    (tmp_path / ".gitignore").write_text("*.log\n")
+
+    def git(*argv):
+        return subprocess.run(["git", "-c", "user.name=t", "-c",
+                               "user.email=t@t", *argv], cwd=tmp_path,
+                              check=True, capture_output=True,
+                              text=True).stdout.strip()
+
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "base")
+    head = git("rev-parse", "HEAD")
+    (tmp_path / "run.log").write_text("ignored\n")
+    assert tool.commit(str(tmp_path)) == {"commit": head, "dirty": False}
+    (tmp_path / "new.py").write_text("new\n")
+    assert tool.commit(str(tmp_path)) == {"commit": head, "dirty": True}

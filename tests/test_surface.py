@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import random
@@ -73,6 +74,11 @@ def test_bad_alpha_rejected():
         RibbonMap((1, 0), (1, 0), (1, -1))  # lam not constant per edge
 
 
+def test_empty_boundary_circuit_rejected():
+    with pytest.raises(MapError, match="boundary circuits must be non-empty"):
+        RibbonMap((1, 0, 3, 2), (2, 3, 1, 0), (1, 1, 1, 1), ((),))
+
+
 STANDARD_SPECS = [
     SurfaceSpec(True, 0, 0, 1.0),
     SurfaceSpec(True, 2, 0, 1.0),
@@ -95,6 +101,25 @@ def test_standard_map_topology(spec):
     assert p == spec.boundaries
     assert chi == 2 - spec.genus - spec.boundaries
     assert sum(m.areas) == pytest.approx(spec.area)
+
+
+# sha256 of alpha, sigma, lam, boundary and areas of the standard maps of
+# every orientable reduced genus 0-12 and non-orientable genus 1-8, each
+# with 0-4 boundaries
+STANDARD_MAPS_DIGEST = (
+    "9659657b5d10117fbd8188d1b66a56fb2f90a74626fe88df25abc74c9f8af93b")
+
+
+def test_standard_maps_over_a_sweep_are_pinned():
+    digest = hashlib.sha256()
+    for orientable, genera in ((True, range(0, 13, 2)), (False, range(1, 9))):
+        for g in genera:
+            for p in range(5):
+                m = standard_map(SurfaceSpec(orientable, g, p, 1.0 + g + p,
+                                             (0,) * p))
+                digest.update(repr((m.alpha, m.sigma, m.lam, m.boundary,
+                                    m.areas)).encode())
+    assert digest.hexdigest() == STANDARD_MAPS_DIGEST
 
 
 def test_orientable_genus_parity_enforced():
@@ -224,6 +249,12 @@ BAD_MAP_ENTRIES = [
     {"areas": [1.0]},
     {"areas": {"1": 1.0}},
     {"areas": {"0": 1.0, "1": 1.0}},
+    {"lambda": {"0": -1, "1": 1}},
+    {"sigma": {"0": [0, 0], "1": [1, 3, 2]}},
+    {"sigma": {"0": [0], "1": [1, 3, 2], "2": []}},
+    {"alpha": [[0, 1], [2, 3], [0, 1]]},
+    {"boundary": [[]], "areas": {}},
+    {"alpha": [1, 0, 3, 2]},
 ]
 
 
@@ -231,7 +262,9 @@ BAD_MAP_ENTRIES = [
 def test_map_file_numbers_are_strict(entry):
     """Darts, signs and the dart count are JSON integers and areas JSON
     numbers: none is coerced into another map. Sign keys and boundary
-    darts name darts of the map, and the areas key each face once."""
+    darts name darts of the map, and the areas key each face once. Each
+    dart is listed once in alpha's pairs and once in sigma's cycles, each
+    edge has at most one sign, and no cycle or circuit is empty."""
     data = json.loads(map_to_json(standard_map(SurfaceSpec(True, 0, 1, 1.0,
                                                            (0,)))))
     # the file as written loads
