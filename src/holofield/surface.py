@@ -545,9 +545,17 @@ def _from_cycles(cycles, n: int, message: str) -> list[int]:
     return perm
 
 
+def _object(pairs: list) -> dict:
+    """A JSON object, or MapError when it repeats a key that json.loads
+    would otherwise read as its last value alone."""
+    if len({k for k, _ in pairs}) < len(pairs):
+        raise MapError(f"map object repeats a key: {[k for k, _ in pairs]}")
+    return dict(pairs)
+
+
 def map_from_json(text: str) -> RibbonMap:
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_object)
     except json.JSONDecodeError as exc:
         raise MapError(f"invalid map JSON: {exc}") from exc
     try:

@@ -857,34 +857,36 @@ def _bench_record_tool(monkeypatch):
 
 def test_bench_record_names_every_metric_on_canned_runs(monkeypatch,
                                                         tmp_path, capsys):
-    """tools/bench_record.py runs every workload untraced and traced at the
-    given seed and writes each run's metrics and verdicts beside the
-    machine and the commit; a metric BENCHMARK.json names that a run does
-    not report is listed and exits 1."""
+    """tools/bench_record.py runs every workload untraced and traced and
+    writes each run's metrics and verdicts beside the machine and the
+    commit; a metric BENCHMARK.json names that a run does not report, a
+    run that is not correct and a failed job are each listed and exit 1."""
     import sys
 
     tool, spec = _bench_record_tool(monkeypatch)
     calls = []
 
-    def canned(tree, workload, seconds, trace, seed, drop=()):
-        calls.append((workload, seconds, trace, seed))
+    def canned(tree, workload, seconds, trace, drop=(), correct=True,
+               failed=0):
+        calls.append((workload, seconds, trace))
         group = spec["per_layer" if trace else "end_to_end"]
-        return {"correct": True, "attempted": 7, "failed": 0, "metrics": {
-            m["name"]: {"value": 1.0, "unit": m["unit"]}
-            for m in group if m["name"] not in drop}}
+        metrics = {m["name"]: {"value": 1.0, "unit": m["unit"]}
+                   for m in group if m["name"] not in drop}
+        return {"correct": correct, "attempted": 7, "failed": failed,
+                "metrics": metrics}
 
     monkeypatch.setattr(tool, "run_bench", canned)
     monkeypatch.setattr(tool, "commit",
                         lambda root: {"commit": "abc", "dirty": False})
     out = tmp_path / "BENCH_1.json"
     monkeypatch.setattr(sys, "argv", ["bench_record.py", str(out),
-                                      "--seconds", "1", "--seed", "5"])
+                                      "--seconds", "1"])
     assert tool.main() == 0
     names = [w["name"] for w in spec["workloads"]]
-    assert calls == [(w, 1.0, trace, 5) for w in names for trace in (0, 1)]
+    assert calls == [(w, 1.0, trace) for w in names for trace in (0, 1)]
     doc = json.loads(out.read_text())
-    assert (doc["commit"], doc["dirty"], doc["seconds"], doc["seed"]) == \
-        ("abc", False, 1.0, 5)
+    assert (doc["commit"], doc["dirty"], doc["seconds"]) == ("abc", False,
+                                                             1.0)
     assert set(doc["machine"]) == {"nproc", "python", "numpy"}
     assert set(doc["workloads"]) == set(names)
     for w in names:
@@ -894,18 +896,22 @@ def test_bench_record_names_every_metric_on_canned_runs(monkeypatch,
             assert (result["correct"], result["attempted"],
                     result["failed"]) == (True, 7, 0)
             assert {m["name"] for m in spec[group]} <= set(result["metrics"])
-    assert tool.missing(doc, spec) == []
+    assert tool.problems(doc, spec) == []
 
-    def short(tree, workload, seconds, trace, seed):
+    def short(tree, workload, seconds, trace):
         drop = ("cli.run_s",) if workload == "cli" and trace else ()
-        return canned(tree, workload, seconds, trace, seed, drop)
+        return canned(tree, workload, seconds, trace, drop,
+                      correct=workload != "kernel",
+                      failed=int(workload == "bundle" and not trace))
 
     monkeypatch.setattr(tool, "run_bench", short)
     capsys.readouterr()
     assert tool.main() == 1
-    assert "missing: cli traced cli.run_s" in capsys.readouterr().out
-    assert "cli.run_s" not in \
-        json.loads(out.read_text())["workloads"]["cli"]["traced"]["metrics"]
+    assert capsys.readouterr().out.splitlines()[-4:] == [
+        "missing: cli traced cli.run_s",
+        "failed: bundle untraced correct=True failed=1/7",
+        "failed: kernel untraced correct=False failed=0/7",
+        "failed: kernel traced correct=False failed=0/7"]
 
 
 def test_bench_record_commit_and_dirty_flag(monkeypatch, tmp_path):

@@ -273,6 +273,23 @@ def test_map_file_numbers_are_strict(entry):
         map_from_json(json.dumps({**data, **entry}))
 
 
+@pytest.mark.parametrize("key, once, twice", [
+    ("lambda", '{"0": -1}', '{"0": -1, "0": 1}'),
+    ("areas", '{"0": 2.0}', '{"0": 1.0, "0": 2.0}'),
+])
+def test_map_file_keys_are_given_once(key, once, twice):
+    """A key given twice in one object of the file is a bad map file, not
+    its last value: no sign or area is silently dropped."""
+    data = json.loads(map_to_json(standard_map(SurfaceSpec(True, 0, 1, 1.0,
+                                                           (0,)))))
+    text = json.dumps({**data, key: None})
+    m = map_from_json(text.replace(f'"{key}": null', f'"{key}": {once}'))
+    assert (m.lam[0], m.areas) == ((-1, (1.0,)) if key == "lambda"
+                                   else (1, (2.0,)))
+    with pytest.raises(MapError, match="repeats a key"):
+        map_from_json(text.replace(f'"{key}": null', f'"{key}": {twice}'))
+
+
 def test_default_areas_proportional_to_perimeter():
     m = theta_map()
     m2 = default_areas(m, 3.0)

@@ -81,13 +81,12 @@ def untar(archive: bytes, dest: str) -> None:
     subprocess.run(["tar", "-x", "-C", dest], input=archive, check=True)
 
 
-def run_bench(tree: str, workload: str, seconds: float, trace: int = 0,
-              seed: int = 1) -> dict:
+def run_bench(tree: str, workload: str, seconds: float,
+              trace: int = 0) -> dict:
     """One bench/run.py run in tree; its last stdout line as an object."""
     proc = subprocess.run(
         [sys.executable, os.path.join("bench", "run.py"), "--workload",
-         workload, "--seconds", str(seconds), "--trace", str(trace),
-         "--seed", str(seed)],
+         workload, "--seconds", str(seconds), "--trace", str(trace)],
         cwd=tree, capture_output=True, text=True)
     if proc.returncode != 0:
         sys.stderr.write(proc.stderr)
