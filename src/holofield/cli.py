@@ -46,6 +46,7 @@ from .levy import (
 )
 from .surface import (
     SurfaceSpec,
+    _object,
     euler_and_genus,
     faces,
     map_from_json,
@@ -122,73 +123,69 @@ def _inputs(args) -> dict:
     return echo
 
 
-def _read_json(path: str):
+def _load(args, flag: str, kind: str, parse, required: str = ""):
+    """parse(text) of the file named by --flag. A missing flag is an
+    InputError, and so is an unreadable file, invalid JSON or content that
+    parse rejects, each prefixed "bad <kind> file: "."""
+    path = getattr(args, flag)
+    if path is None:
+        raise InputError(f"a {required or kind} file is required (--{flag})")
+    bad = f"bad {kind} file: "
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return parse(fh.read())
     except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+        raise InputError(f"{bad}cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise InputError(f"{path} is not valid JSON: {exc}") from exc
+        raise InputError(f"{bad}{path} is not valid JSON: {exc}") from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"{bad}{exc}") from exc
+
+
+def _json(text: str):
+    """The JSON text's value; no object in it may repeat a key."""
+    return json.loads(text, object_pairs_hook=_object)
 
 
 def load_group(args):
-    if args.group is None:
-        raise InputError("a group file is required (--group)")
-    try:
-        return build_group(_read_json(args.group))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"bad group file: {exc}") from exc
+    return _load(args, "group", "group", lambda text: build_group(_json(text)))
 
 
 def load_levy(args, G):
-    if args.levy is None:
-        raise InputError("a Levy measure file is required (--levy)")
-    try:
-        rates = _read_json(args.levy)["rates"]
-        return jump_measure_from_class_rates(G, rates)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"bad Levy file: {exc}") from exc
+    return _load(args, "levy", "Levy", lambda text:
+                 jump_measure_from_class_rates(G, _json(text)["rates"]),
+                 "Levy measure")
+
+
+def _surface(data, time) -> SurfaceSpec:
+    """The surface file's spec, its area replaced by --time when given."""
+    orientable, genus = data["orientable"], data["genus"]
+    boundaries = data.get("boundaries", 0)
+    constraints = tuple(data.get("constraints", ()))
+    # JSON booleans and integers as they are: no truthiness, no truncated
+    # floats, no bools standing in for 0 and 1
+    if not isinstance(orientable, bool):
+        raise ValueError(f"orientable {orientable!r} is not true or false")
+    named = [("genus", genus), ("boundaries", boundaries)]
+    for name, value in named + [("constraint", c) for c in constraints]:
+        if type(value) is not int:
+            raise ValueError(f"{name} {value!r} is not an integer")
+    # --time replaces the file's area, which is checked when present
+    area = data["area"] if time is None or "area" in data else time
+    if isinstance(area, bool) or not isinstance(area, (int, float)):
+        raise ValueError(f"area {area!r} is not a number")
+    spec = SurfaceSpec(orientable, genus, boundaries, float(area),
+                       constraints)
+    return spec if time is None else replace(spec, area=time)
 
 
 def load_surface(args) -> SurfaceSpec:
-    if args.surface is None:
-        raise InputError("a surface file is required (--surface)")
-    try:
-        data = _read_json(args.surface)
-        orientable, genus = data["orientable"], data["genus"]
-        boundaries = data.get("boundaries", 0)
-        constraints = tuple(data.get("constraints", ()))
-        # JSON booleans and integers as they are: no truthiness, no
-        # truncated floats, no bools standing in for 0 and 1
-        if not isinstance(orientable, bool):
-            raise ValueError(f"orientable {orientable!r} is not true or false")
-        named = [("genus", genus), ("boundaries", boundaries)]
-        for name, value in named + [("constraint", c) for c in constraints]:
-            if type(value) is not int:
-                raise ValueError(f"{name} {value!r} is not an integer")
-        # --time replaces the file's area, which is checked when present
-        area = data["area"] if args.time is None or "area" in data \
-            else args.time
-        if isinstance(area, bool) or not isinstance(area, (int, float)):
-            raise ValueError(f"area {area!r} is not a number")
-        spec = SurfaceSpec(orientable, genus, boundaries, float(area),
-                           constraints)
-        return spec if args.time is None else replace(spec, area=args.time)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"bad surface file: {exc}") from exc
+    return _load(args, "surface", "surface",
+                 lambda text: _surface(_json(text), args.time))
 
 
 def load_map(args):
-    if args.map is None:
-        raise InputError("a map file is required (--map)")
-    try:
-        with open(args.map) as fh:
-            return map_from_json(fh.read())
-    except OSError as exc:
-        raise InputError(f"cannot read {args.map}: {exc}") from exc
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"bad map file: {exc}") from exc
+    return _load(args, "map", "map", map_from_json)
 
 
 def load_surface_map(args, spec: SurfaceSpec):

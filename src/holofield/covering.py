@@ -60,36 +60,27 @@ _MAX_ATTEMPTS = 2 * 10 ** 6
 _GATHER = 1 << 16
 
 
-def canonical_word(orientable: bool, genus: int) -> list[tuple[int, int]]:
-    """Surface word in the free group on `genus` letters, as (index, sign)
-    pairs: a product of commutators for orientable surfaces, a product of
-    squares otherwise."""
+def canonical_word(orientable: bool, genus: int) -> list[tuple[int, bool]]:
+    """Surface word in the free group on `genus` letters, compiled as
+    (letter, inverted) steps for holonomy_of_steps: a product of
+    commutators for orientable surfaces, a product of squares otherwise."""
     if orientable:
         if genus % 2:
             raise ValueError("orientable reduced genus must be even")
         out = []
         for h in range(genus // 2):
             i, j = 2 * h, 2 * h + 1
-            out += [(i, 1), (j, 1), (i, -1), (j, -1)]
+            out += [(i, False), (j, False), (i, True), (j, True)]
         return out
-    return [(i, 1) for i in range(genus) for _ in range(2)]
-
-
-def evaluate_word(G: FiniteGroup, word: list[tuple[int, int]],
-                  values) -> int | np.ndarray:
-    """Multiplicative evaluation of a free-group word at group elements,
-    or at a (letter, row) block of them."""
-    return holonomy_of_steps(G, [(i, s == -1) for i, s in word], values)
+    return [(i, False) for i in range(genus) for _ in range(2)]
 
 
 @functools.lru_cache(maxsize=256)
 def _relation_steps(orientable: bool, genus: int, extra: int):
     """w(a) c_1..c_p d_1..d_k read on the entries a + c + d, with `extra`
-    = p + k letters after the genus ones, compiled once for
-    holonomy_of_steps."""
-    word = canonical_word(orientable, genus)
-    word += [(i, 1) for i in range(genus, genus + extra)]
-    return tuple((i, s == -1) for i, s in word)
+    = p + k letters after the genus ones."""
+    return tuple(canonical_word(orientable, genus)
+                 + [(i, False) for i in range(genus, genus + extra)])
 
 
 def _check_tuples(G: FiniteGroup, orientable: bool, genus: int,
@@ -459,12 +450,13 @@ def tame_law(G: FiniteGroup, m: RibbonMap, tame: TameGenerators, kernel,
     pre = G.n ** (1 - g) / math.prod(len(o) for o in orbits)
     # z_1 ... z_f = w(a) y_1 ... y_p forces the last face value
     # z_f = z_{f-1}^-1 ... z_1^-1 w(a) y_1 ... y_p
-    last_word = [(i, -1) for i in range(g + p + f - 2, g + p - 1, -1)]
-    last_word += tame.w + [(g + i, 1) for i in range(p)]
+    last = [(i, True) for i in range(g + p + f - 2, g + p - 1, -1)]
+    last += [(i, s == -1) for i, s in tame.w]
+    last += [(g + i, False) for i in range(p)]
     pmf: dict[tuple[int, ...], float] = {}
     for block in _product_blocks([range(G.n)] * g + orbits
                                  + [range(G.n)] * (f - 1)):
-        z_last = evaluate_word(G, last_word, block)
+        z_last = holonomy_of_steps(G, last, block)
         rows = np.vstack([block, z_last])
         val = np.full(rows.shape[1], pre)
         for z, fp in zip(rows[g + p:], face_pmf):
@@ -476,12 +468,12 @@ def tame_law(G: FiniteGroup, m: RibbonMap, tame: TameGenerators, kernel,
 
 def monodromy_marginal(G: FiniteGroup, m: RibbonMap, tame: TameGenerators,
                        pi: JumpMeasure, C: GConstraints | None = None,
-                       classes: ConjugacyClassTable | None = None,
-                       tail_tol: float = DEFAULT_TAIL_TOL):
+                       classes: ConjugacyClassTable | None = None):
     """Law of the tame-generator monodromies under the weighted bundle
-    measure: tame_law on the series kernel, so no characters enter and
-    agreement with the holonomy route is a theorem, not an input."""
-    return tame_law(G, m, tame, SeriesKernel(pi, tail_tol), C, classes)
+    measure: tame_law on the series kernel at DEFAULT_TAIL_TOL, so no
+    characters enter and agreement with the holonomy route is a theorem,
+    not an input."""
+    return tame_law(G, m, tame, SeriesKernel(pi), C, classes)
 
 
 @dataclass(frozen=True)

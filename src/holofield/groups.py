@@ -13,6 +13,7 @@ diagonalization of the class-multiplication matrices.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -200,17 +201,17 @@ class CharacterTable:
 
 def _table_array(mul) -> np.ndarray:
     """The table as an array: as it is when it is an integer array, else
-    each entry through int(). Ragged rows are a GroupError."""
-    try:
-        table = np.asarray(mul)
-    except ValueError:  # ragged rows
-        table = None
-    if table is None or table.ndim != 2 or table.dtype.kind not in "iu":
-        rows = [[int(v) for v in row] for row in mul]
-        if any(len(row) != len(rows) for row in rows):
-            raise GroupError("multiplication table must be n x n")
-        table = np.array(rows)
-    return table
+    from rows whose entries are all ints, no bool, float or string read as
+    one. Ragged rows and other entries are a GroupError."""
+    if isinstance(mul, np.ndarray) and mul.dtype.kind in "iu":
+        return mul
+    rows = [list(row) for row in mul]
+    for v in itertools.chain(*rows):
+        if type(v) is not int:
+            raise GroupError(f"table entry {v!r} is not an integer")
+    if any(len(row) != len(rows) for row in rows):
+        raise GroupError("multiplication table must be n x n")
+    return np.array(rows)
 
 
 def _validate_table(n: int, table: np.ndarray) -> None:
@@ -268,6 +269,8 @@ def _from_table(mul, labels=None, name="group") -> FiniteGroup:
         labels = tuple(labels)
         if len(labels) != n:
             raise GroupError("labels length must equal group order")
+        if any(type(x) is not str for x in labels) or len(set(labels)) < n:
+            raise GroupError("labels must be distinct strings")
     G = FiniteGroup(n=n, mul=tuple(map(tuple, table.tolist())),
                     inv=tuple(inv.tolist()), labels=labels, name=name)
     G._derived["arrays"] = table.astype(np.intp).ravel(), inv.astype(np.intp)

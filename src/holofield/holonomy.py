@@ -79,6 +79,10 @@ class GConstraints:
         out += [(tuple(cyc), c) for cyc, c in self.marks]
         used = set()
         for cyc, _ in out:
+            # a closed chain of darts, as RibbonMap checks its circuits
+            if not cyc or any(m.vertex_of(m.alpha[d]) != m.vertex_of(e)
+                              for d, e in zip(cyc, cyc[1:] + cyc[:1])):
+                raise ValueError(f"cycle {cyc} is not a closed path of darts")
             for d in cyc:
                 e = min(d, m.alpha[d])
                 if e in used:
@@ -342,7 +346,8 @@ def marginal_generators(G: FiniteGroup, m: RibbonMap, C: GConstraints,
                         cap: int = DEFAULT_CAP):
     """Exact joint pmf of the holonomies of the given words under the
     constrained uniform measure, weighted by the field density when a heat
-    kernel is supplied. Returns (pmf dict, total mass).
+    kernel is supplied. Returns (pmf dict, total mass); ValueError for a
+    word that is not a path of darts from its base.
 
     The configuration sum runs over gauge-fixed representatives with the
     first word's base as the fixed vertex; a word starting or ending

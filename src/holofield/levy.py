@@ -99,8 +99,8 @@ def jump_measure_from_class_rates(
     into singleton weights: a class with rate w gets w/|C| per element.
     A rate is a number as it is (an int, a float or a Fraction), never a
     bool or a string.
-    A string key is a label first and otherwise an integer class index, as
-    JSON object keys are always strings."""
+    A string key is a label first and otherwise a class index exactly as
+    str(c) writes it, as JSON object keys are always strings."""
     if classes is None:
         classes = conjugacy_classes(G)
     per_class = [Fraction(0)] * classes.r
@@ -110,11 +110,14 @@ def jump_measure_from_class_rates(
             (c for c in range(classes.r) if classes.rep_label(c) == str(key)),
             None)
         if c is None:
+            # int() alone would also read "01", " 1", "+1" and "1_0"
             try:
                 c = int(str(key))
             except ValueError:
+                c = None
+            if c is None or str(c) != str(key):
                 raise ValueError(
-                    f"no conjugacy class with representative {key!r}") from None
+                    f"no conjugacy class with representative {key!r}")
         if classes.checked(c) in given:
             raise ValueError(f"class {c} is given twice")
         given.add(c)

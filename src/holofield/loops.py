@@ -48,7 +48,14 @@ class EdgeWord:
 
 
 def word_end(m: RibbonMap, w: EdgeWord) -> int:
-    return m.vertex_of(m.alpha[w.darts[-1]]) if w.darts else w.base
+    """The vertex the path ends at; ValueError unless its first dart
+    leaves its base and each next dart leaves where the last one ends."""
+    v = w.base
+    for d in w.darts:
+        if m.vertex_of(d) != v:
+            raise ValueError(f"{w} is not a path of darts from its base")
+        v = m.vertex_of(m.alpha[d])
+    return v
 
 
 def _reduced(m: RibbonMap, darts) -> tuple[int, ...]:

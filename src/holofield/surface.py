@@ -547,9 +547,10 @@ def _from_cycles(cycles, n: int, message: str) -> list[int]:
 
 def _object(pairs: list) -> dict:
     """A JSON object, or MapError when it repeats a key that json.loads
-    would otherwise read as its last value alone."""
+    would otherwise read as its last value alone. Every input file is
+    decoded through this hook."""
     if len({k for k, _ in pairs}) < len(pairs):
-        raise MapError(f"map object repeats a key: {[k for k, _ in pairs]}")
+        raise MapError(f"object repeats a key: {[k for k, _ in pairs]}")
     return dict(pairs)
 
 

@@ -426,18 +426,21 @@ def test_malformed_json_is_input_error(files, capsys, tmp_path):
 
 @pytest.mark.parametrize("flag, kind", [("--group", "group"),
                                         ("--levy", "Levy"),
-                                        ("--surface", "surface")])
+                                        ("--surface", "surface"),
+                                        ("--map", "map")])
 def test_malformed_json_names_its_file_kind(files, capsys, tmp_path, flag,
                                             kind):
     """A file that is not JSON, or cannot be read, exits 2 with the same
-    "bad <kind> file: " prefix under each of the three flags."""
+    "bad <kind> file: " prefix under each of the four flags."""
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
+    # the map file is read last, so its default is never read
     paths = {"--group": files["s3"], "--levy": files["levy_s3"],
-             "--surface": files["torus"]}
-    for path, reason in ((str(bad), "is not valid JSON"),
+             "--surface": files["torus"], "--map": str(bad)}
+    invalid = "invalid map JSON" if flag == "--map" else "is not valid JSON"
+    for path, reason in ((str(bad), invalid),
                          (str(tmp_path / "nope.json"), "cannot read")):
-        argv = ["cover", "mass"]
+        argv = ["cover", "verify-holo-mono"]
         for f, default in paths.items():
             argv += [f, path if f == flag else default]
         assert run(argv) == 2
@@ -593,6 +596,26 @@ def test_levy_rates_must_be_numbers(files, capsys, tmp_path, rate):
         "partition", "--group", files["s3"], "--surface", files["torus"],
         "--levy", str(path)])
     assert err.startswith("error: bad Levy file: ")
+
+
+@pytest.mark.parametrize("flag, kind, text", [
+    ("--group", "group", '{"kind": "builtin", "name": "S3", "name": "Z2"}'),
+    ("--levy", "Levy", '{"rates": {"021": 1.0, "021": 5.0}}'),
+    ("--surface", "surface",
+     '{"orientable": true, "genus": 2, "genus": 4, "area": 1.0}'),
+], ids=["group", "levy", "surface"])
+def test_no_input_file_repeats_a_key(files, capsys, tmp_path, flag, kind,
+                                     text):
+    """Every input file is decoded through one rule: an object that
+    repeats a key is a bad file, not its last value alone. The text is
+    written raw, as json.dumps cannot repeat a key."""
+    path = tmp_path / "repeated.json"
+    path.write_text(text)
+    paths = {"--group": files["s3"], "--levy": files["levy_s3"],
+             "--surface": files["torus"], flag: str(path)}
+    err = _quiet_input_error(capsys, ["partition"] + [
+        x for f, p in paths.items() for x in (f, p)])
+    assert err.startswith(f"error: bad {kind} file: object repeats a key")
 
 
 def test_verify_failure_exit_code(files, capsys, tmp_path):

@@ -15,7 +15,6 @@ from holofield.covering import (
     bb_mass,
     canonical_word,
     counting_check,
-    evaluate_word,
     monodromy_marginal,
     sample_covering,
     tame_law,
@@ -36,7 +35,7 @@ from holofield.levy import (
     poisson_weights,
     uniform_jump_measure,
 )
-from holofield.loops import tame_generators
+from holofield.loops import holonomy_of_steps, tame_generators
 from holofield.surface import (
     RibbonMap,
     SurfaceSpec,
@@ -63,21 +62,21 @@ def test_canonical_word_shapes():
     G = build_group("S3")
     for a1 in range(6):
         for a2 in range(6):
-            v = evaluate_word(G, w, (a1, a2))
+            v = holonomy_of_steps(G, w, (a1, a2))
             comm = G.mul[G.mul[a1][a2]][G.mul[G.inv[a1]][G.inv[a2]]]
             assert v == comm
     w = canonical_word(False, 2)
     for a1 in range(6):
         for a2 in range(6):
-            v = evaluate_word(G, w, (a1, a2))
+            v = holonomy_of_steps(G, w, (a1, a2))
             assert v == G.mul[G.mul[a1][a1]][G.mul[a2][a2]]
 
 
 def _relation(t: MonodromyTuple) -> int:
     """w(a) c_1..c_p d_1..d_k of a tuple, multiplied out with G.mul."""
     G = t.group
-    word = [t.a[i] if s == 1 else G.inv[t.a[i]]
-            for i, s in canonical_word(t.orientable, t.genus)]
+    word = [G.inv[t.a[i]] if inverted else t.a[i]
+            for i, inverted in canonical_word(t.orientable, t.genus)]
     out = 0
     for x in word + list(t.c) + list(t.d):
         out = G.mul[out][x]
@@ -387,7 +386,7 @@ def test_holonomy_equals_monodromy(gname, spec):
 
 
 def test_holonomy_equals_monodromy_split_faces():
-    from holofield.loops import tame_generators
+    from holofield.loops import holonomy_of_steps, tame_generators
     from oracles import refine_generators
     from holofield.surface import split_face
 
@@ -403,7 +402,7 @@ def test_holonomy_equals_monodromy_split_faces():
 
 
 def test_monodromy_marginal_total_is_partition_function():
-    from holofield.loops import tame_generators
+    from holofield.loops import holonomy_of_steps, tame_generators
 
     G = build_group("S3")
     pi = uniform_jump_measure(G, 1.0)

@@ -100,6 +100,15 @@ def test_bad_table_rejected():
         build_group([[1, 0], [0, 1]])  # identity not at index 0
 
 
+@pytest.mark.parametrize("labels", [[1, 2, 3], ["e", "x", "x"]], ids=repr)
+def test_table_labels_are_distinct_strings(labels):
+    """Labels name elements in reports and Levy keys, so each is a string
+    of its own."""
+    table = [[(i + j) % 3 for j in range(3)] for i in range(3)]
+    with pytest.raises(GroupError, match="distinct strings"):
+        build_group({"kind": "table", "table": table, "labels": labels})
+
+
 def _swapped_z6():
     # an intercalate of Z6 swapped: a Latin square with identity 0 that is
     # not associative
@@ -117,6 +126,11 @@ def _swapped_z6():
     (_swapped_z6(), "multiplication table is not associative"),
     # associative with an identity, but 1 x = 1 for every x
     ([[0, 1, 2], [1, 1, 1], [2, 2, 2]], "element 1 has no inverse"),
+    # rows of ints only: no float, string or bool is read as an element
+    ([[0, 1.9], [1, 0]], "table entry 1.9 is not an integer"),
+    ([[0, 1.0], [1, 0]], "table entry 1.0 is not an integer"),
+    ([[0, "1"], ["1", 0]], "table entry '1' is not an integer"),
+    ([[0, True], [True, 0]], "table entry True is not an integer"),
 ])
 def test_table_errors_are_pinned(table, message):
     with pytest.raises(GroupError) as err:

@@ -386,6 +386,34 @@ def test_marginal_words_at_two_bases_match_brute_force():
     assert_pmf_equal(pmf, brute_marginal(G, m, uniform, gens))
 
 
+def _subdivided_torus():
+    G, hk = make_hk("S3")
+    m = subdivide_edge(standard_map(SurfaceSpec(True, 2, 0, 1.0)), 0)[0]
+    return G, hk, m
+
+
+@pytest.mark.parametrize("word", [EdgeWord(1, (1,)), EdgeWord(0, (0, 0))],
+                         ids=repr)
+def test_marginal_words_must_be_dart_paths(word):
+    """Dart 1 does not leave vertex 1, and dart 0 does not leave where it
+    ends: neither word is a path, so neither has a law."""
+    G, hk, m = _subdivided_torus()
+    assert m.vertex_of(1) != 1
+    assert m.vertex_of(0) != m.vertex_of(m.alpha[0])
+    with pytest.raises(ValueError, match="not a path of darts"):
+        marginal_generators(G, m, GConstraints(), [word], hk)
+
+
+@pytest.mark.parametrize("mark", [(0,), ()], ids=repr)
+def test_marks_must_be_closed_dart_paths(mark):
+    """An open one-dart mark, or an empty one, constrains no cycle."""
+    G, hk, m = _subdivided_torus()
+    for c in range(3):
+        C = GConstraints(marks=((mark, c),))
+        with pytest.raises(ValueError, match="not a closed path of darts"):
+            partition_graph(G, m, C, hk)
+
+
 def test_gauge_fixed_count_and_cap():
     """n^(E - V + 1 - #cycles) prod |C_i| representatives: 3 * 3 * 2 on the
     three-holed sphere over S3, against 6^6 raw configurations."""

@@ -113,6 +113,16 @@ def test_rates_name_each_class_once():
         jump_measure_from_class_rates(G, {"021": 0.5, "1": 0.7})
 
 
+@pytest.mark.parametrize("key", ["01", " 1", "+1", "1_0", "1 "])
+def test_index_keys_are_written_as_str(key):
+    """A string key that names no label is a class index exactly as str(c)
+    writes it; int() alone would read each of these as a class."""
+    G = build_group("S3")
+    assert jump_measure_from_class_rates(G, {"1": 1.0}).total_rate == 1.0
+    with pytest.raises(ValueError, match="no conjugacy class"):
+        jump_measure_from_class_rates(G, {key: 1.0})
+
+
 def test_uniform_jump_measure_total_rate():
     for name in builtin_names():
         pi = uniform_jump_measure(build_group(name))

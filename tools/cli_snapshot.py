@@ -14,13 +14,16 @@ The set: for seeds 201 and 202 and each of S3, Q8 and D4, the benchmark's
 the files this tool writes itself, 2 ``cover enumerate`` runs over the
 constrained Moebius bands of ``COVER_INPUTS`` (S4 and Q8), 1 ``cover
 verify-holo-mono`` run on the S3 torus with ``--map map_small.json`` and
-``--tail-tol 1e-10``, and 27 error runs on ``BAD_INPUTS``: rejected
+``--tail-tol 1e-10``, and 35 error runs on ``BAD_INPUTS``: rejected
 options, missing, malformed and invalid input files, non-finite numbers
 in flags and files, a negative twist count, a sample count below 1, a
 map that disagrees with its surface, inadmissible jump measures (exit 2),
-cap exits (exit 3) and a failing verification (exit 1): 150 runs.  The
-input files are written with this checkout's ``holofield``, so every
-snapshot reads the same files.
+cap exits (exit 3), a failing verification (exit 1), and then repeated
+keys, an unreadable map file, a float table entry, repeated labels and a
+zero-padded Levy key (exit 2): 158 runs.  New runs are appended, so the
+records of an older snapshot stay a prefix of a newer one.  The input
+files are written with this checkout's ``holofield``, so every snapshot
+reads the same files.
 """
 
 from __future__ import annotations
@@ -70,6 +73,20 @@ BAD_INPUTS = {
                          "area": float("inf")},
     "map_invalid.json": {"darts": 4, "alpha": [[0, 1], [2, 2]],
                          "sigma": {"0": [0, 1, 2, 3]}},
+    # an object that repeats a key, in each kind of file
+    "group_repeated.json": '{"kind": "builtin", "name": "S3", "name": "Z2"}',
+    "levy_repeated.json": '{"rates": {"021": 1.0, "021": 5.0}}',
+    "surface_repeated.json":
+        '{"orientable": true, "genus": 2, "genus": 4, "area": 1.0}',
+    "map_repeated.json": '{"darts": 2, "darts": 2, "alpha": [[0, 1]], '
+                         '"sigma": {"0": [0], "1": [1]}}',
+    # a float table entry, labels that are not distinct, and a Levy key
+    # that int() reads as class 1 but str(1) does not write
+    "group_float.json": {"kind": "table", "table": [[0, 1.9], [1, 0]]},
+    "group_labels.json": {"kind": "table",
+                          "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]],
+                          "labels": ["e", "x", "x"]},
+    "levy_padded.json": {"rates": {"01": 1.0}},
 }
 
 # Constrained non-orientable surfaces, where cover enumerate meets boundary
@@ -137,6 +154,19 @@ ERROR_RUNS = [
     ["partition", "--via", "graph", "--cap", "10"] + _TORUS,
     ["cover", "enumerate", "--k", "3", "--cap", "10"] + _TORUS,
     ["verify", "semigroup", "--tol", "1e-300"] + _S3,
+    # appended after the runs above, which keep their order: a repeated
+    # key in each kind of file, an unreadable map file, strict group
+    # tables and Levy index keys
+    ["group-info", "--group", "group_repeated.json"],
+    ["partition", "--group", "group_S3.json", "--levy", "levy_repeated.json",
+     "--surface", "torus.json"],
+    ["partition", "--surface", "surface_repeated.json"] + _S3,
+    ["faces", "--map", "map_repeated.json"],
+    ["faces", "--map", "missing.json"],
+    ["group-info", "--group", "group_float.json"],
+    ["group-info", "--group", "group_labels.json"],
+    ["partition", "--group", "group_S3.json", "--levy", "levy_padded.json",
+     "--surface", "torus.json"],
 ]
 
 
