@@ -110,14 +110,13 @@ def jump_measure_from_class_rates(
             (c for c in range(classes.r) if classes.rep_label(c) == str(key)),
             None)
         if c is None:
-            # int() alone would also read "01", " 1", "+1" and "1_0"
-            try:
-                c = int(str(key))
-            except ValueError:
-                c = None
-            if c is None or str(c) != str(key):
+            # an index exactly as str(c) writes it: int() alone would also
+            # read "01", " 1", "+1" and "1_0"
+            s = str(key)
+            if not s.removeprefix("-").isdecimal() or str(int(s)) != s:
                 raise ValueError(
                     f"no conjugacy class with representative {key!r}")
+            c = int(s)
         if classes.checked(c) in given:
             raise ValueError(f"class {c} is given twice")
         given.add(c)

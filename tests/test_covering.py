@@ -386,7 +386,7 @@ def test_holonomy_equals_monodromy(gname, spec):
 
 
 def test_holonomy_equals_monodromy_split_faces():
-    from holofield.loops import holonomy_of_steps, tame_generators
+    from holofield.loops import tame_generators
     from oracles import refine_generators
     from holofield.surface import split_face
 
@@ -402,7 +402,7 @@ def test_holonomy_equals_monodromy_split_faces():
 
 
 def test_monodromy_marginal_total_is_partition_function():
-    from holofield.loops import holonomy_of_steps, tame_generators
+    from holofield.loops import tame_generators
 
     G = build_group("S3")
     pi = uniform_jump_measure(G, 1.0)
